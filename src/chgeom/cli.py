@@ -33,7 +33,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     FormViolationError,
-    GeometryError,
     InvalidPackingError,
     InvalidPointError,
     InvarianceError,

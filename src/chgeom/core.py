@@ -64,21 +64,6 @@ _SIGMA_BAND = 10.0
 _SPREAD_FLOOR = 1e-11
 
 
-@dataclass(frozen=True)
-class FormSignature:
-    """Ambient signature: CH^n sits inside C^{n,1}."""
-
-    n: int = 2
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("complex dimension n must be >= 1")
-
-    @property
-    def dim(self):
-        return self.n + 1
-
-
 def form_matrix(n=2):
     """The diagonal form matrix J = diag(1, ..., 1, -1) on C^{n,1}."""
     j = np.eye(n + 1)
@@ -242,10 +227,17 @@ def projective_matrix_gap(a, b):
 
 
 def identity_gap(matrix):
-    """Relative sup-norm distance of a matrix from the scalar matrices."""
+    """Relative sup-norm distance of a matrix from the scalar matrices.
+
+    A stack of matrices (leading batch axes) gives an array of gaps, one per
+    matrix; a single matrix gives a float.
+    """
     m = np.asarray(matrix, dtype=complex)
-    lam = np.trace(m) / m.shape[0]
-    return float(np.max(np.abs(m - lam * np.eye(m.shape[0]))) / np.max(np.abs(m)))
+    d = m.shape[-1]
+    lam = np.trace(m, axis1=-2, axis2=-1) / d
+    gap = (np.max(np.abs(m - lam[..., None, None] * np.eye(d)), axis=(-2, -1))
+           / np.max(np.abs(m), axis=(-2, -1)))
+    return float(gap) if m.ndim == 2 else gap
 
 
 def is_projective_identity(matrix, tol=PROJ_TOL):

@@ -11,8 +11,6 @@ completeness claim.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv
-from scipy.stats import qmc
 
 from . import core
 from . import groups as gr
@@ -81,8 +79,9 @@ def _ball_frame(center):
 
 def _ray_directions(count, real_dim, seed=0):
     """Quasi-uniform unit directions via Gaussianized low-discrepancy points."""
-    sampler = qmc.Halton(d=real_dim, scramble=True, seed=seed)
-    u = sampler.random(count)
+    from scipy.special import erfinv
+
+    u = gr._halton(count, real_dim, seed=seed)
     g = erfinv(np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12)) * np.sqrt(2.0)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0

@@ -7,10 +7,10 @@ lexicographic ordering, deduplicating group elements by a rounded projective
 matrix key, and is vectorized over stacked matrices.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import core
 from . import heisenberg as hb
@@ -324,19 +324,40 @@ def sphere_inversion(center, radius):
     return t @ d @ i0 @ d.inverse() @ t.inverse()
 
 
-def _unit_sphere_samples(count, n=2):
-    """Quasi-random points on the unit Cygan sphere (low-discrepancy)."""
-    sampler = qmc.Halton(d=2 * (n - 1), scramble=False)
-    pts = sampler.random(count)
+def _halton(count, dim, seed=None):
+    """First `count` points of the Halton sequence in [0, 1)^dim.
+
+    Coordinate j is the radical inverse of the index in the j-th prime base
+    (Halton 1960).  A seed scrambles each digit position by a random
+    permutation (Owen, arXiv:1706.02808), drawn as scipy.stats.qmc.Halton
+    draws them, so the points match Halton(dim, seed=seed) bit for bit.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
+    bases = [p for p in range(2, max(dim, 2) ** 2)
+             if all(p % q for q in range(2, math.isqrt(p) + 1))][:dim]
+    out = np.zeros((count, dim))
+    for j, base in enumerate(bases):
+        # one permutation per digit position down to float64 resolution
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        if rng is not None:
+            for perm in perms:
+                rng.shuffle(perm)
+        q = np.arange(count)
+        scale = 1.0 / base
+        for perm in perms:
+            out[:, j] += perm[q % base] * scale
+            scale /= base
+            q //= base
+    return out
+
+
+def _unit_sphere_samples(count):
+    """Quasi-random points on the unit Cygan sphere of the n = 2 boundary."""
+    pts = _halton(count, 2)
     v = 2.0 * pts[:, 0] - 1.0
-    xi = np.empty((count, n - 1), dtype=complex)
-    r = (1.0 - v**2) ** 0.25
-    phases = 2 * np.pi * pts[:, 1:]
-    # first coordinate carries the radius, the rest only phases
-    xi[:, 0] = r * np.exp(1j * phases[:, 0])
-    for k in range(1, n - 1):
-        xi[:, k] = 0.0
-    return xi, v
+    phase = 2 * np.pi * pts[:, 1]
+    xi = (1.0 - v**2) ** 0.25 * np.exp(1j * phase)
+    return xi[:, None], v
 
 
 def packing_inversion_group(packing, samples=1000):
@@ -350,6 +371,10 @@ def packing_inversion_group(packing, samples=1000):
     spheres = packing.spheres
     if not spheres:
         raise InvalidPackingError("empty packing")
+    n = spheres[0][0].n
+    if n != 2:
+        # the samples cover the unit Cygan sphere of C x R only
+        raise DimensionError(f"ping-pong certificate needs n = 2, got n = {n}")
     for i in range(len(spheres)):
         for j in range(i + 1, len(spheres)):
             (ci, ri), (cj, rj) = spheres[i], spheres[j]
@@ -366,8 +391,7 @@ def packing_inversion_group(packing, samples=1000):
         involutive=labels[: len(spheres)],
     )
 
-    n = spheres[0][0].n
-    unit_xi, unit_v = _unit_sphere_samples(samples, n=n)
+    unit_xi, unit_v = _unit_sphere_samples(samples)
     min_margin = np.inf
     pairs = 0
     for j, (cj, rj) in enumerate(spheres):
@@ -415,14 +439,8 @@ def identity_word_probe(gens, max_len=8, tol=1e-6, budget=DEFAULT_BUDGET):
             f"probe budget exhausted at radius {completed}",
             completed_radius=completed,
         )
-    min_gap = np.inf
-    for length, (_, stack) in enumerate(levels):
-        if length == 0:
-            continue
-        for mat in stack:
-            gap = core.identity_gap(mat)
-            if gap < min_gap:
-                min_gap = gap
+    gaps = [core.identity_gap(stack) for _, stack in levels[1:]]
+    min_gap = np.fmin.reduce(np.concatenate(gaps + [[np.inf]]))  # skips NaN
     return bool(min_gap > tol), float(min_gap)
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,18 @@ def without_timestamp(text):
     data = json.loads(text)
     data["meta"].pop("timestamp")
     return json.dumps(data, sort_keys=True)
+
+
+def test_import_leaves_scipy_stats_and_special_unloaded():
+    # every command is a fresh process; these two cost ~1 s of start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, chgeom.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_classify_vertical_translation_preset():

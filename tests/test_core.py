@@ -266,3 +266,24 @@ def test_infinity_point():
     inf = core.infinity_point(2)
     assert inf.projectively_equal(core.ProjectivePoint([0, -1, 1]))
     assert core.point_class(inf) == "null"
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0))
+@settings(max_examples=50, deadline=None)
+def test_identity_gap_batch_matches_scalar(seed, k, max_log_scale):
+    # near-scalar matrices, each row of the stack at its own norm up to 1e30
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=(k, 1, 1)) + 1j * rng.normal(size=(k, 1, 1))
+    noise = rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3))
+    eps = 10.0 ** rng.uniform(-15, 0, size=(k, 1, 1))
+    scale = 10.0 ** rng.uniform(0, max_log_scale, size=(k, 1, 1))
+    stack = scale * (lam * np.eye(3) + eps * noise)
+    gaps = core.identity_gap(stack)
+    assert gaps.shape == (k,)
+    assert np.array_equal(gaps, [core.identity_gap(m) for m in stack])
+
+
+def test_identity_gap_scalar_returns_float():
+    gap = core.identity_gap(np.diag([2.0, 2.0, 2.0 + 1e-3]))
+    assert type(gap) is float
+    assert gap == pytest.approx((2e-3 / 3) / 2.001)

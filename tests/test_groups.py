@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from chgeom import bending as bd
 from chgeom import core
 from chgeom import groups as gr
 from chgeom import heisenberg as hb
+from chgeom import presets as ps
 from chgeom.errors import (
     BudgetExceededError,
     DegenerateInputError,
+    DimensionError,
     InvalidPackingError,
     PoleError,
 )
@@ -187,6 +190,17 @@ class TestPacking:
         ).boundary()
         assert hb.cygan_dist(image, c0) < r0
 
+    def test_n3_packing_rejected(self):
+        # the certificate samples the unit Cygan sphere of n = 2 only
+        packing = gr.SpherePacking(
+            [
+                (hb.HeisPoint(np.array([3.0 + 0j, 0j]), 0.0), 1.0),
+                (hb.HeisPoint(np.array([-3.0 + 0j, 0j]), 0.0), 1.0),
+            ]
+        )
+        with pytest.raises(DimensionError):
+            gr.packing_inversion_group(packing, samples=50)
+
     def test_identity_word_probe(self):
         gens, _ = gr.packing_inversion_group(two_sphere_packing(), samples=50)
         passed, gap = gr.identity_word_probe(gens, max_len=6)
@@ -196,6 +210,37 @@ class TestPacking:
         gens = gr.GroupGens([("a", hb.embed_rotation(np.array([[1j]])))])
         passed, gap = gr.identity_word_probe(gens, max_len=4)
         assert not passed and gap < 1e-9
+
+
+class TestBatchedProbe:
+    @staticmethod
+    def per_matrix_gap(gens, max_len):
+        levels, _ = gr.element_ball(gens, max_len, dedup=False)
+        return min(core.identity_gap(m) for _, stack in levels[1:] for m in stack)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, -0.35])
+    def test_hnn_bend_matches_per_matrix_loop(self, eta):
+        gens = bd.deform_group(ps.bend_preset("hnn-bend"), eta)
+        _, gap = gr.identity_word_probe(gens, max_len=6)
+        assert gap == self.per_matrix_gap(gens, 6)
+
+    def test_schottky_matches_per_matrix_loop(self):
+        gens = ps.group_preset("schottky")
+        _, gap = gr.identity_word_probe(gens, max_len=6)
+        assert gap == self.per_matrix_gap(gens, 6)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_scipy_bit_for_bit(self, dim):
+        from scipy.stats import qmc
+
+        for count in (1, 17, 2000, 10000):
+            plain = qmc.Halton(d=dim, scramble=False).random(count)
+            assert np.array_equal(gr._halton(count, dim), plain)
+            for seed in (0, 1, 7):
+                scrambled = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
+                assert np.array_equal(gr._halton(count, dim, seed=seed), scrambled)
 
 
 class TestLimitSet:

@@ -11,6 +11,7 @@ violation, 5 resource budget.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -520,10 +521,15 @@ def main(argv=None):
         return EXIT_BUDGET
 
     if args.out:
+        # a failed write must leave no partial file: write aside, then rename
+        tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
-            with open(args.out, "w") as fh:
+            with open(tmp, "x") as fh:
                 fh.write(text)
+            os.replace(tmp, args.out)
         except OSError as e:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
             print(_error_json(EXIT_INPUT, e), file=sys.stderr)
             return EXIT_INPUT
     else:

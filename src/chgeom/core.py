@@ -83,21 +83,32 @@ def herm_inner(z, w):
     return np.sum(z[:-1] * np.conj(w[:-1])) - z[-1] * np.conj(w[-1])
 
 
+def _checked_lifts(lifts, ndim):
+    lifts = np.asarray(lifts, dtype=complex)
+    if lifts.ndim != ndim or lifts.shape[-1] < 2:
+        raise InvalidPointError("lift must be a vector of length >= 2")
+    if not np.isfinite(lifts).all():
+        raise InvalidPointError("lift has non-finite entries")
+    if (np.abs(lifts).max(axis=-1) == 0.0).any():
+        raise InvalidPointError("zero lift does not define a point")
+    return lifts
+
+
 class ProjectivePoint:
     """A point of projective space: a nonzero lift vector up to scale."""
 
     __slots__ = ("lift",)
 
     def __init__(self, lift):
-        lift = np.asarray(lift, dtype=complex)
-        if lift.ndim != 1 or lift.shape[0] < 2:
-            raise InvalidPointError("lift must be a vector of length >= 2")
-        if not np.all(np.isfinite(lift.view(float))):
-            raise InvalidPointError("lift has non-finite entries")
-        scale = np.max(np.abs(lift))
-        if scale == 0.0:
-            raise InvalidPointError("zero lift does not define a point")
-        self.lift = lift
+        self.lift = _checked_lifts(lift, ndim=1)
+
+    @classmethod
+    def from_rows(cls, lifts):
+        """One point per row of a (k, n+1) lift stack, validated as a batch."""
+        points = [cls.__new__(cls) for _ in range(len(lifts))]
+        for point, lift in zip(points, _checked_lifts(lifts, ndim=2)):
+            point.lift = lift
+        return points
 
     @property
     def n(self):
@@ -118,12 +129,7 @@ class ProjectivePoint:
         """Equality as lines, tested on scale-normalized lifts."""
         if self.lift.shape != other.lift.shape:
             return False
-        a = self.lift / np.max(np.abs(self.lift))
-        b = other.lift / np.max(np.abs(other.lift))
-        # 2x2 minors a_i b_j - a_j b_i vanish iff the lifts are proportional
-        minors = np.outer(a, b)
-        cross = np.abs(minors - minors.T)
-        return float(np.max(cross)) <= tol
+        return projective_lift_gap(self.lift, other.lift) <= tol
 
     def __repr__(self):
         return f"ProjectivePoint({np.array2string(self.lift, precision=6)})"
@@ -206,24 +212,48 @@ class Isometry:
         return f"Isometry(n={self.n})"
 
 
+def _unit_rows(x):
+    """Vectors on the last axis divided by their largest modulus."""
+    return x / np.abs(x).max(axis=-1, keepdims=True)
+
+
+def projective_lift_gap(a, b):
+    """Largest 2x2 minor of two scale-normalized lifts; 0 iff proportional.
+
+    Stacks of lifts (leading batch axes, broadcast against each other) give
+    an array of gaps; two single lifts give a float.
+    """
+    a = _unit_rows(np.asarray(a, dtype=complex))
+    b = _unit_rows(np.asarray(b, dtype=complex))
+    # 2x2 minors a_i b_j - a_j b_i vanish iff the lifts are proportional
+    minors = a[..., :, None] * b[..., None, :]
+    gap = np.abs(minors - np.swapaxes(minors, -1, -2)).max(axis=(-2, -1))
+    return float(gap) if gap.ndim == 0 else gap
+
+
 def projective_matrix_gap(a, b):
     """Distance between two matrices as projective transformations.
 
     Scale-normalizes both, aligns the unit phase on the largest entry of a,
-    and returns the relative sup-norm difference.
+    and returns the relative sup-norm difference.  Stacks of matrices
+    (leading batch axes, broadcast against each other) give an array of
+    gaps; two single matrices give a float, or inf when their shapes differ.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         return np.inf
-    a = a / np.max(np.abs(a))
-    b = b / np.max(np.abs(b))
-    k = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-    if abs(b[k]) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase = b[k] / a[k]
-    phase /= abs(phase)
-    return float(np.max(np.abs(a - b / phase)))
+    a, b = np.broadcast_arrays(a, b)
+    a = _unit_rows(a.reshape(a.shape[:-2] + (-1,)))
+    b = _unit_rows(b.reshape(b.shape[:-2] + (-1,)))
+    k = np.abs(a).argmax(axis=-1)[..., None]
+    ak, bk = np.take_along_axis(a, k, -1), np.take_along_axis(b, k, -1)
+    # hypot rounds like abs() of one complex scalar; the array abs may not
+    small = np.hypot(bk.real, bk.imag) < 1e-12
+    phase = np.where(small, 1.0, bk) / np.where(small, 1.0, ak)
+    phase = phase / np.hypot(phase.real, phase.imag)
+    gap = np.abs(a - np.where(small, b, b / phase)).max(axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def identity_gap(matrix):

@@ -3,10 +3,18 @@
 A group is given by labeled generators; inverse labels are the swapcase of
 the generator label, and labels listed as involutive are their own inverse.
 Word enumeration is breadth-first over reduced words with deterministic
-lexicographic ordering, deduplicating group elements by a rounded projective
-matrix key, and is vectorized over stacked matrices.
+lexicographic ordering and is vectorized over stacked matrices.
+
+Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
+the first word for each element or orbit point.  Items are keyed by their
+entries divided by a pivot entry and rounded to 9 digits.  An item with a
+new key is kept; one with a seen key is dropped when it matches a kept item
+with that key (matrix gap <= 1e-6, or lift gap <= PROJ_TOL for points).
+Items with different keys are never compared.  All of this is float64, so
+far-out orbit points whose lifts agree to rounding merge though distinct.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,6 +139,54 @@ def _canonical_rows(flat, digits=9):
     return np.round(canon.view(float), digits)
 
 
+class _FirstKept:
+    """Projective dedup, level by level, in which the first item wins.
+
+    A key's first kept item is its representative.  A level's items with a
+    seen key are tested against their representatives in batched calls of
+    `same`; only those that differ are then checked, in order, against the
+    key's other kept items.  Keys are compared as bytes: np.unique within
+    the level, then a search in one sorted run per earlier level.
+    """
+
+    def __init__(self, same):
+        self.same = same  # batched: (stack, stack) -> bool array
+        self.runs = []  # per level: sorted new keys, their kept rows, kept items
+        self.others = {}  # key bytes -> kept items after the first
+
+    def keep(self, keys, items):
+        """Ascending indices of the items kept from one level, and the items."""
+        keys = np.ascontiguousarray(keys)
+        kv = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))[:, 0]
+        uniq, first, inv = np.unique(kv, return_index=True, return_inverse=True)
+        reps = items[first]
+        new = np.ones(len(uniq), dtype=bool)
+        for run_keys, run_rows, run_items in self.runs:
+            pos = np.minimum(np.searchsorted(run_keys, uniq), len(run_keys) - 1)
+            hit = run_keys[pos] == uniq
+            reps[hit] = run_items[run_rows[pos[hit]]]
+            new &= ~hit
+        kept = np.zeros(len(items), dtype=bool)
+        kept[first[new]] = True
+        repeat = np.flatnonzero(~kept)
+        differs = np.zeros(len(items), dtype=bool)
+        for lo in range(0, len(repeat), 8192):  # bounds the temporaries
+            c = repeat[lo:lo + 8192]
+            differs[c] = ~self.same(items[c], reps[inv[c]])
+        del reps
+        for i in np.flatnonzero(differs):
+            others = self.others.setdefault(kv[i].tobytes(), [])
+            if others and np.any(self.same(items[i], np.stack(others))):
+                continue
+            others.append(items[i].copy())
+            kept[i] = True
+        idx = np.flatnonzero(kept)
+        kept_items = items[idx]
+        if np.any(new):
+            self.runs.append((uniq[new], np.searchsorted(idx, first[new]), kept_items))
+        return idx, kept_items
+
+
 def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     """Breadth-first reduced-word ball of group elements.
 
@@ -148,65 +204,39 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     )
     d = gens.dim
 
-    # seen: rounded key -> list of matrices sharing it (collision fallback)
-    seen = {}
-
-    def register(keys, cand_m):
-        keep = []
-        for i in range(len(cand_m)):
-            key = keys[i].tobytes()
-            bucket = seen.get(key)
-            if bucket is None:
-                seen[key] = [cand_m[i]]
-                keep.append(i)
-                continue
-            if all(core.projective_matrix_gap(cand_m[i], m) > 1e-6 for m in bucket):
-                bucket.append(cand_m[i])
-                keep.append(i)
-        return keep
-
     ident = np.eye(d, dtype=complex)
     levels = [(("",), ident[None, :, :])]
-    words = [""]
+    words = ("",)
     stack = ident[None, :, :]
     last = np.array([-1])
     total = 1
     if dedup:
-        register(_canonical_rows(ident.reshape(1, -1)), ident[None, :, :])
+        seen = _FirstKept(lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6))
+        seen.keep(_canonical_rows(ident.reshape(1, -1)), stack)
 
     for length in range(1, max_len + 1):
-        parts_w = []
-        parts_m = []
-        parts_order = []
-        for si in range(len(symbols)):
-            mask = last != inv_idx[si]
-            if not np.any(mask):
-                continue
-            idx = np.nonzero(mask)[0]
-            parts_m.append(stack[idx] @ mats[si])
-            parts_w.append([words[i] + symbols[si] for i in idx])
-            parts_order.append(idx * len(symbols) + si)
-        if not parts_m:
+        # children in word order: by parent, then by symbol
+        parent, sym = np.nonzero(last[:, None] != inv_idx)
+        if len(parent) == 0:
             return levels, max_len
-        cand_m = np.concatenate(parts_m)
-        cand_w = [w for part in parts_w for w in part]
-        order = np.argsort(np.concatenate(parts_order), kind="stable")
-        cand_m = cand_m[order]
-        cand_w = [cand_w[i] for i in order]
-
-        if total + len(cand_w) > budget:
+        if total + len(parent) > budget:
             return levels, length - 1
+        cand_m = np.empty((len(parent), d, d), dtype=complex)
+        for si in range(len(symbols)):
+            rows = sym == si
+            cand_m[rows] = stack[parent[rows]] @ mats[si]
         if dedup:
-            keep = register(_canonical_rows(cand_m.reshape(len(cand_m), -1)), cand_m)
-            if not keep:
+            keep, cand_m = seen.keep(
+                _canonical_rows(cand_m.reshape(len(cand_m), -1)), cand_m)
+            if len(keep) == 0:
                 return levels, max_len
-            cand_m = cand_m[keep]
-            cand_w = [cand_w[i] for i in keep]
-        total += len(cand_w)
-        levels.append((tuple(cand_w), cand_m))
-        words = cand_w
+            parent, sym = parent[keep], sym[keep]
+        words = tuple([words[i] + symbols[s]
+                       for i, s in zip(parent.tolist(), sym.tolist())])
+        total += len(words)
+        levels.append((words, cand_m))
         stack = cand_m
-        last = np.array([symbols.index(w[-1]) for w in cand_w])
+        last = sym
     return levels, max_len
 
 
@@ -237,33 +267,16 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
         raise DegenerateInputError("basepoint must be an interior point")
 
     levels, completed = element_ball(gens, max_len, budget=budget)
+    seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL)
     records = []
-    seen = {}
-    for length, (words, stack) in enumerate(levels):
-        if length > completed:
-            break
+    for length, (words, stack) in enumerate(levels[: completed + 1]):
         lifts = stack @ basepoint.lift
         dists = _stack_distances(lifts, basepoint.lift)
-        keys = _canonical_rows(lifts)
-        for i, w in enumerate(words):
-            key = keys[i].tobytes()
-            bucket = seen.get(key)
-            if bucket is not None:
-                point = core.ProjectivePoint(lifts[i])
-                if any(point.projectively_equal(p) for p in bucket):
-                    continue
-                bucket.append(point)
-            else:
-                point = core.ProjectivePoint(lifts[i])
-                seen[key] = [point]
-            records.append(
-                OrbitRecord(
-                    word=w,
-                    point=point,
-                    word_length=length,
-                    distance=float(dists[i]),
-                )
-            )
+        keep, kept = seen.keep(_canonical_rows(lifts), lifts)
+        points = core.ProjectivePoint.from_rows(kept)
+        for i, point, dist in zip(keep.tolist(), points, dists[keep].tolist()):
+            records.append(OrbitRecord(word=words[i], point=point,
+                                       word_length=length, distance=dist))
     if completed < max_len:
         raise BudgetExceededError(
             f"enumeration budget exhausted at radius {completed}",
@@ -281,10 +294,9 @@ def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
         basepoint = core.ProjectivePoint(origin)
     records = orbit_enumerate(gens, max_len, basepoint, budget=budget)
     rows = []
-    for length in range(max_len + 1):
-        dists = [r.distance for r in records if r.word_length == length]
-        if not dists:
-            continue
+    # records come level by level, in increasing word length
+    for length, level in itertools.groupby(records, key=lambda r: r.word_length):
+        dists = [r.distance for r in level]
         rows.append((length, min(dists), max(dists)))
     return rows
 

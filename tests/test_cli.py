@@ -230,6 +230,39 @@ def test_format_not_available_exits_2():
     assert out == ""
 
 
+def test_out_replaces_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "orbit.json"
+    target.write_text("stale")
+    rc, out, err = run_cli(["--command", "orbit", "--preset", "z2-lattice",
+                            "--depth", "3", "--out", str(target)])
+    assert rc == 0 and out == ""
+    assert len(json.loads(target.read_text())["points"]) == 25
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_write_failing_partway_leaves_no_file(tmp_path):
+    # a 4 KiB file-size limit makes the ~6 KiB write fail after its first
+    # block with EFBIG, as a full disk would
+    target = tmp_path / "orbit.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import resource, signal, sys\n"
+        "import chgeom.cli as cli\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))\n"
+        "sys.exit(cli.main(['--command', 'orbit', '--preset', 'z2-lattice',\n"
+        f"                   '--depth', '3', '--out', {str(target)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"]["exit"] == 2
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_preset_exits_2():
     rc, out, err = run_cli(["--command", "dirichlet", "--preset", "nope"])
     assert rc == 2

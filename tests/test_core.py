@@ -67,6 +67,20 @@ def test_zero_lift_rejected():
         core.ProjectivePoint([0, 0, 0])
 
 
+def test_lift_validation_single_and_stack():
+    # a strided lift (every other entry of a buffer) is an ordinary vector
+    buf = np.array([0, 9, 0, 9, 1, 9], dtype=complex)
+    point = core.ProjectivePoint(buf[::2])
+    assert point.projectively_equal(core.ProjectivePoint([0, 0, 1]))
+    points = core.ProjectivePoint.from_rows(np.eye(3, dtype=complex))
+    assert [p.lift.tolist() for p in points] == np.eye(3).tolist()
+    for bad in ([[0, 0, 0], [0, 0, 1]], [[np.nan, 0, 1]], [[1], [2]], [0, 0, 1]):
+        with pytest.raises(InvalidPointError):
+            core.ProjectivePoint.from_rows(np.array(bad, dtype=complex))
+    with pytest.raises(InvalidPointError):
+        core.ProjectivePoint([np.inf, 0, 1])
+
+
 def test_projective_equality_scaling():
     p = core.ProjectivePoint([1, 2 + 1j, 3])
     q = core.ProjectivePoint(np.array([1, 2 + 1j, 3]) * (0.3 - 2.1j))

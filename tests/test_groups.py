@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chgeom import bending as bd
 from chgeom import core
@@ -210,6 +211,281 @@ class TestPacking:
         gens = gr.GroupGens([("a", hb.embed_rotation(np.array([[1j]])))])
         passed, gap = gr.identity_word_probe(gens, max_len=4)
         assert not passed and gap < 1e-9
+
+
+# --- sequential reference for the batched dedup -------------------------
+# The per-record dedup that _FirstKept replaced, kept verbatim with the
+# scalar gap and lift equality it called.  The batched kernel must make the
+# same decisions, in the same order, with bit-identical arithmetic.
+
+
+def ref_matrix_gap(a, b):
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return np.inf
+    a = a / np.max(np.abs(a))
+    b = b / np.max(np.abs(b))
+    k = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
+    if abs(b[k]) < 1e-12:
+        return float(np.max(np.abs(a - b)))
+    phase = b[k] / a[k]
+    phase /= abs(phase)
+    return float(np.max(np.abs(a - b / phase)))
+
+
+def ref_lift_gap(x, y):
+    a = x / np.max(np.abs(x))
+    b = y / np.max(np.abs(y))
+    minors = np.outer(a, b)
+    return float(np.max(np.abs(minors - minors.T)))
+
+
+def ref_element_ball(gens, max_len, budget=gr.DEFAULT_BUDGET):
+    alpha = gens.alphabet()
+    symbols = [s for s, _ in alpha]
+    mats = np.stack([m for _, m in alpha])
+    inv_idx = np.array(
+        [symbols.index(gens.inverse_label(s)) for s in symbols], dtype=int
+    )
+    d = gens.dim
+    seen = {}
+
+    def register(keys, cand_m):
+        keep = []
+        for i in range(len(cand_m)):
+            key = keys[i].tobytes()
+            bucket = seen.get(key)
+            if bucket is None:
+                seen[key] = [cand_m[i]]
+                keep.append(i)
+                continue
+            if all(ref_matrix_gap(cand_m[i], m) > 1e-6 for m in bucket):
+                bucket.append(cand_m[i])
+                keep.append(i)
+        return keep
+
+    ident = np.eye(d, dtype=complex)
+    levels = [(("",), ident[None, :, :])]
+    words = [""]
+    stack = ident[None, :, :]
+    last = np.array([-1])
+    total = 1
+    register(gr._canonical_rows(ident.reshape(1, -1)), ident[None, :, :])
+    for length in range(1, max_len + 1):
+        parts_w = []
+        parts_m = []
+        parts_order = []
+        for si in range(len(symbols)):
+            mask = last != inv_idx[si]
+            if not np.any(mask):
+                continue
+            idx = np.nonzero(mask)[0]
+            parts_m.append(stack[idx] @ mats[si])
+            parts_w.append([words[i] + symbols[si] for i in idx])
+            parts_order.append(idx * len(symbols) + si)
+        if not parts_m:
+            return levels, max_len
+        cand_m = np.concatenate(parts_m)
+        cand_w = [w for part in parts_w for w in part]
+        order = np.argsort(np.concatenate(parts_order), kind="stable")
+        cand_m = cand_m[order]
+        cand_w = [cand_w[i] for i in order]
+        if total + len(cand_w) > budget:
+            return levels, length - 1
+        keep = register(gr._canonical_rows(cand_m.reshape(len(cand_m), -1)), cand_m)
+        if not keep:
+            return levels, max_len
+        cand_m = cand_m[keep]
+        cand_w = [cand_w[i] for i in keep]
+        total += len(cand_w)
+        levels.append((tuple(cand_w), cand_m))
+        words = cand_w
+        stack = cand_m
+        last = np.array([symbols.index(w[-1]) for w in cand_w])
+    return levels, max_len
+
+
+def ref_orbit(gens, max_len, basepoint, budget=gr.DEFAULT_BUDGET):
+    """(records, completed radius) of the sequential orbit dedup."""
+    levels, completed = ref_element_ball(gens, max_len, budget=budget)
+    records = []
+    seen = {}
+    for length, (words, stack) in enumerate(levels):
+        if length > completed:
+            break
+        lifts = stack @ basepoint.lift
+        dists = gr._stack_distances(lifts, basepoint.lift)
+        keys = gr._canonical_rows(lifts)
+        for i, w in enumerate(words):
+            key = keys[i].tobytes()
+            bucket = seen.get(key)
+            if bucket is not None:
+                if any(ref_lift_gap(lifts[i], p) <= core.PROJ_TOL for p in bucket):
+                    continue
+                bucket.append(lifts[i])
+            else:
+                seen[key] = [lifts[i]]
+            records.append((w, lifts[i], length, float(dists[i])))
+    return records, completed
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def as_tuples(records):
+    return [(r.word, r.point.lift, r.word_length, r.distance) for r in records]
+
+
+def assert_same_records(got, want):
+    assert [r[0] for r in got] == [r[0] for r in want]
+    assert [r[2] for r in got] == [r[2] for r in want]
+    assert same_bits([r[1] for r in got], [r[1] for r in want])
+    assert same_bits([r[3] for r in got], [r[3] for r in want])
+
+
+class TestDedupMatchesSequentialReference:
+    DEPTHS = {
+        "z2-lattice": 5,  # true duplicates: the lattice commutes
+        "fuchsian": 12,  # relations, and s fixes the basepoint
+        "schottky": 7,  # rounding merges distinct far-out orbit points
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEPTHS))
+    def test_element_ball_and_orbit(self, name):
+        depth = self.DEPTHS[name]
+        gens = ps.group_preset(name)
+        levels, completed = gr.element_ball(gens, depth)
+        ref_levels, ref_completed = ref_element_ball(gens, depth)
+        assert completed == ref_completed == depth
+        assert [w for w, _ in levels] == [w for w, _ in ref_levels]
+        for (_, m), (_, ref_m) in zip(levels, ref_levels):
+            assert same_bits(m, ref_m)
+        records = gr.orbit_enumerate(gens, depth, ball_origin())
+        ref_records, _ = ref_orbit(gens, depth, ball_origin())
+        assert_same_records(as_tuples(records), ref_records)
+        rows = gr.word_metric_profile(gens, depth, ball_origin())
+        ref_rows = []
+        for length in range(depth + 1):
+            dists = [r[3] for r in ref_records if r[2] == length]
+            if dists:
+                ref_rows.append((length, min(dists), max(dists)))
+        assert same_bits(rows, ref_rows)
+
+    def test_the_cases_exercise_every_branch(self):
+        sizes = {}
+        for name, depth in self.DEPTHS.items():
+            gens = ps.group_preset(name)
+            levels, _ = gr.element_ball(gens, depth)
+            free, _ = gr.element_ball(gens, depth, dedup=False)
+            records = gr.orbit_enumerate(gens, depth, ball_origin())
+            sizes[name] = (total_words(free), total_words(levels), len(records))
+        assert sizes["z2-lattice"] == (1 + 4 * (3 ** 5 - 1) // 2, 61, 61)
+        free, elements, points = sizes["fuchsian"]
+        assert free > elements > points
+        # Schottky is free, so every lost element or point is a false merge
+        assert sizes["schottky"] == (4373, 4225, 444)
+
+    def test_budget_limited_fuchsian(self):
+        gens = ps.group_preset("fuchsian")
+        levels, completed = gr.element_ball(gens, 28, budget=20_000)
+        ref_levels, ref_completed = ref_element_ball(gens, 28, budget=20_000)
+        assert completed == ref_completed < 28
+        assert [w for w, _ in levels] == [w for w, _ in ref_levels]
+        assert same_bits(np.concatenate([m for _, m in levels]),
+                         np.concatenate([m for _, m in ref_levels]))
+        ref_records, _ = ref_orbit(gens, 28, ball_origin(), budget=20_000)
+        for call in (gr.orbit_enumerate, gr.word_metric_profile):
+            with pytest.raises(BudgetExceededError) as err:
+                call(gens, 28, ball_origin(), budget=20_000)
+            assert err.value.completed_radius == ref_completed
+            assert_same_records(as_tuples(err.value.partial), ref_records)
+
+    @pytest.mark.parametrize("budget, completed", [(17, 2), (16, 1), (53, 3)])
+    def test_budget_boundary(self, budget, completed):
+        # a free group on two letters has 1, 4, 12, 36 words of length 0..3
+        levels, done = gr.element_ball(schottky_pair(), 6, budget=budget)
+        assert done == completed
+        assert total_words(levels) == [1, 5, 17, 53][completed]
+
+    @pytest.mark.parametrize("lifts", [False, True])
+    def test_kernel_on_forced_key_collisions(self, lifts):
+        # six distinct items, drawn again and again at random scale and
+        # phase, get one of two keys: distinct items share a key and later
+        # bucket members decide, which the presets never exercise
+        rng = np.random.default_rng(3)
+        shape = (3,) if lifts else (3, 3)
+        base = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        if lifts:
+            same = lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL
+            ref_same = lambda x, y: ref_lift_gap(x, y) <= core.PROJ_TOL
+        else:
+            same = lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6)
+            ref_same = lambda x, y: not ref_matrix_gap(x, y) > 1e-6
+        kernel = gr._FirstKept(same)
+        buckets = {}
+        decided_later = 0
+        for _ in range(4):
+            pick = rng.integers(0, 6, size=50)
+            scale = rng.uniform(0.1, 10, 50) * np.exp(1j * rng.uniform(0, 7, 50))
+            items = base[pick] * scale.reshape((50,) + (1,) * len(shape))
+            keys = rng.integers(0, 2, size=(50, 1)).astype(float)
+            want = []
+            for i in range(50):
+                bucket = buckets.setdefault(keys[i].tobytes(), [])
+                decided_later += bool(bucket) and not ref_same(items[i], bucket[0])
+                if not any(ref_same(items[i], m) for m in bucket):
+                    bucket.append(items[i])
+                    want.append(i)
+            idx, kept = kernel.keep(keys, items)
+            assert idx.tolist() == want
+            assert same_bits(kept, items[want])
+        assert decided_later > 0
+
+
+def _near_pairs(seed, k, max_log_scale, shape):
+    """Stacks a, b with b ~ phase * scale * a, each row at its own norm."""
+    rng = np.random.default_rng(seed)
+    size = (k,) + shape
+    axes = (k,) + (1,) * len(shape)
+    a = (rng.normal(size=size) + 1j * rng.normal(size=size)) \
+        * 10.0 ** rng.uniform(0, max_log_scale, size=axes)
+    eps = 10.0 ** rng.uniform(-17, 0, size=axes)
+    noise = rng.normal(size=size) + 1j * rng.normal(size=size)
+    phase = np.exp(2j * np.pi * rng.uniform(size=axes))
+    b = a * phase * 10.0 ** rng.uniform(0, max_log_scale, size=axes) \
+        * (1 + eps * noise)
+    return rng, a, b
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0))
+@settings(max_examples=50, deadline=None)
+def test_matrix_gap_stack_matches_scalar(seed, k, max_log_scale):
+    rng, a, b = _near_pairs(seed, k, max_log_scale, (3, 3))
+    # rows where b nearly vanishes at a's largest entry take the
+    # |b[k]| < 1e-12 branch; some are exact zeros
+    flat_b = b.reshape(k, -1)
+    top = np.argmax(np.abs(a.reshape(k, -1)), axis=1)
+    small = np.flatnonzero(rng.random(k) < 0.3)
+    flat_b[small, top[small]] *= rng.choice([0.0, 1e-14, 1e-13], size=len(small))
+    gaps = core.projective_matrix_gap(a, b)
+    want = [ref_matrix_gap(x, y) for x, y in zip(a, b)]
+    assert same_bits(gaps, want)
+    assert [core.projective_matrix_gap(x, y) for x, y in zip(a, b)] == want
+    assert type(core.projective_matrix_gap(a[0], b[0])) is float
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0))
+@settings(max_examples=50, deadline=None)
+def test_lift_gap_stack_matches_scalar(seed, k, max_log_scale):
+    _, a, b = _near_pairs(seed, k, max_log_scale, (3,))
+    want = [ref_lift_gap(x, y) for x, y in zip(a, b)]
+    assert same_bits(core.projective_lift_gap(a, b), want)
+    for x, y, gap in zip(a, b, want):
+        p, q = core.ProjectivePoint(x), core.ProjectivePoint(y)
+        assert p.projectively_equal(q) == (gap <= core.PROJ_TOL)
 
 
 class TestBatchedProbe:

@@ -25,34 +25,18 @@ from . import dirichlet as dr
 from . import groups as gr
 from . import heisenberg as hb
 from . import presets as ps
-from .errors import (
-    BorderlineClassError,
-    BranchBoundaryError,
-    BudgetExceededError,
-    CertificateError,
-    DegenerateCenterError,
-    DegenerateInputError,
-    DimensionError,
-    FormViolationError,
-    InvalidPackingError,
-    InvalidPointError,
-    InvarianceError,
-    PointAtInfinityError,
-    PointClassError,
-    PoleError,
-)
+from .errors import GeometryError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
 EXIT_CONSTRAINT = 4
-EXIT_BUDGET = 5
 
 TOL_ENV = "CHGEOM_TOL"
 DEFAULT_TOL = 1e-6
 
 COMMANDS = ("classify", "dirichlet", "bend", "orbit", "limitset", "packing",
             "profile")
+_READS_TOL = ("dirichlet", "bend")
 
 _FORMATS = {
     "classify": ("json",),
@@ -66,7 +50,9 @@ _FORMATS = {
 
 
 class _InputError(Exception):
-    """Configuration or parse failure (exit 2)."""
+    """Configuration or parse failure."""
+
+    exit_code = EXIT_INPUT
 
 
 def _parse_args(argv):
@@ -92,14 +78,20 @@ def _parse_args(argv):
     p.add_argument("--zeta", type=float, default=float(np.pi / 4))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None,
-                   help=f"strictness margin (default {DEFAULT_TOL}, or the "
-                        f"{TOL_ENV} environment variable)")
+                   help=f"strictness margin of dirichlet and bend (default "
+                        f"{DEFAULT_TOL}, or the {TOL_ENV} environment "
+                        f"variable)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="json", choices=("json", "csv", "svg"))
     return p.parse_args(argv)
 
 
 def _resolve_tol(args):
+    if args.command not in _READS_TOL:
+        if args.tol is not None:
+            raise _InputError(f"--tol is not read by {args.command} (only by "
+                              f"{' and '.join(_READS_TOL)})")
+        return None
     if args.tol is not None:
         return float(args.tol)
     env = os.environ.get(TOL_ENV)
@@ -492,33 +484,12 @@ def main(argv=None):
         tol = _resolve_tol(args)
         payload = _DISPATCH[args.command](args, tol)
         text = _render(args, payload)
-    except _InputError as e:
-        print(_error_json(EXIT_INPUT, e), file=sys.stderr)
-        return EXIT_INPUT
-    except (FormViolationError,) as e:
-        print(_error_json(EXIT_INPUT, e, defect=float(e.defect)),
-              file=sys.stderr)
-        return EXIT_INPUT
-    except (DimensionError, InvalidPointError) as e:
-        print(_error_json(EXIT_INPUT, e), file=sys.stderr)
-        return EXIT_INPUT
-    except (DegenerateCenterError, DegenerateInputError, PointClassError,
-            PoleError, PointAtInfinityError, BorderlineClassError) as e:
-        print(_error_json(EXIT_DEGENERATE, e), file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CertificateError as e:
-        extra = {"pair": list(e.pair)} if e.pair is not None else {}
-        print(_error_json(EXIT_CONSTRAINT, e, **extra), file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (InvarianceError, BranchBoundaryError, InvalidPackingError,
-            ValueError) as e:
-        print(_error_json(EXIT_CONSTRAINT, e), file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except BudgetExceededError as e:
-        print(_error_json(EXIT_BUDGET, e,
-                          completed_radius=e.completed_radius),
-              file=sys.stderr)
-        return EXIT_BUDGET
+    except (GeometryError, _InputError, ValueError) as e:
+        # a bare ValueError still reads as a constraint violation
+        code = getattr(e, "exit_code", EXIT_CONSTRAINT)
+        fields = e.json_fields() if isinstance(e, GeometryError) else {}
+        print(_error_json(code, e, **fields), file=sys.stderr)
+        return code
 
     if args.out:
         # a failed write must leave no partial file: write aside, then rename

@@ -1,10 +1,24 @@
 """Bisectors, Dirichlet side censuses, and parabolic slice domains.
 
-The census conjugates the center to the ball-model origin, where geodesic
-rays from the center are affine chords, then marches quasi-uniform ray
-directions outward and records the first orbit element whose bisector the
-ray crosses.  Sides are certified by witnesses with a strictness margin;
-the census is a lower-bound certificate over the enumerated ball, never a
+Both censuses run one first-exit kernel, `_first_exit_census`.  It marches
+a batch of rays outward in lockstep until each is beaten, that is, until
+some enumerated orbit image of the center is nearer than the center
+itself; it bisects that first exit, and at the witness it certifies the
+nearest image as a side when it beats the runner-up by a strictness
+margin.  A census supplies its rays as a function path(dirs, t) that
+returns, for a batch of directions and a parameter t (one scalar, or one
+value per ray), the lifts of the points reached and their distances to
+the center:
+
+- the ball census conjugates the center to the ball-model origin, where
+  geodesic rays are affine chords along quasi-uniform directions u; t is
+  the distance itself and the lifts (sinh(t/2) u, cosh(t/2)) have form
+  norm -1, which the kernel uses instead of recomputing it;
+- the slice census walks straight lines in the coordinates of an
+  invariant slice (see parabolic_projection); t is the slice coordinate
+  and the distance is the ambient Bergman distance.
+
+The census is a lower-bound certificate over the enumerated ball, never a
 completeness claim.
 """
 
@@ -89,30 +103,31 @@ def _ray_directions(count, real_dim, seed=0):
 
 
 def _chord_lifts(directions, s):
-    """Ball-model lifts of the points at distance s along each ray."""
-    t = np.tanh(np.asarray(s, dtype=float) / 2.0)
+    """Ball-model lifts, of form norm -1, at distance s along each ray."""
+    half = np.asarray(s, dtype=float)[..., None] / 2.0
     m, rd = directions.shape
-    zc = directions[:, : rd // 2] + 1j * directions[:, rd // 2 :]
     lifts = np.empty((m, rd // 2 + 1), dtype=complex)
-    if np.ndim(t) == 0:
-        lifts[:, :-1] = t * zc
-    else:
-        lifts[:, :-1] = t[:, None] * zc
-    lifts[:, -1] = 1.0
+    lifts[:, :-1] = np.sinh(half) * (
+        directions[:, : rd // 2] + 1j * directions[:, rd // 2 :]
+    )
+    lifts[:, -1:] = np.cosh(half)
     return lifts
 
 
-def _distances_to_orbit(lifts, orbit_lifts, orbit_norm=None):
+def _distances_to_orbit(lifts, orbit_lifts, orbit_norm=None, lift_norm=None):
     """Bergman distances between row batches of interior lifts.
 
     When orbit_lifts are isometry images of one point, pass its form norm
-    as orbit_norm; recomputing <w, w> from a large-norm lift cancels
-    catastrophically.
+    as orbit_norm, and pass lift_norm when every lift has a known norm;
+    recomputing <w, w> from a large-norm lift cancels catastrophically.
     """
     j = np.ones(lifts.shape[1])
     j[-1] = -1.0
     inner = (lifts * j) @ np.conj(orbit_lifts).T
-    nl = np.sum((lifts * j) * np.conj(lifts), axis=1).real
+    if lift_norm is None:
+        nl = np.sum((lifts * j) * np.conj(lifts), axis=1).real
+    else:
+        nl = np.full(lifts.shape[0], lift_norm)
     if orbit_norm is None:
         no = np.sum((orbit_lifts * j) * np.conj(orbit_lifts), axis=1).real
     else:
@@ -120,6 +135,96 @@ def _distances_to_orbit(lifts, orbit_lifts, orbit_norm=None):
     ratio = np.abs(inner) ** 2 / (nl[:, None] * no[None, :])
     ratio = np.maximum(ratio, 1.0)
     return 2.0 * np.arccosh(np.sqrt(ratio))
+
+
+def _census_orbit(gens, enum_radius, budget):
+    """Words and matrices of the nontrivial elements of the word ball."""
+    levels, completed = gr.element_ball(gens, enum_radius, budget=budget)
+    if completed < enum_radius:
+        raise gr.BudgetExceededError(
+            f"enumeration budget exhausted at radius {completed}",
+            completed_radius=completed,
+        )
+    words = [w for ws, _ in levels[1:] for w in ws]
+    if not words:
+        raise DegenerateInputError("no nontrivial elements to census")
+    return words, np.concatenate([stack for _, stack in levels[1:]])
+
+
+def _first_exit_census(
+    words, base_lift, orbit_lifts, norm, path, dirs, t_max, margin, enum_radius,
+    path_norm=None,
+):
+    """March, bisect and certify the first bisector exit of every ray.
+
+    base_lift is the center and orbit_lifts its images under `words`, all
+    of form norm `norm`; path_norm is the norm of every path lift when it
+    is known (None recomputes it per lift).  A ray that is not beaten
+    drops out once its distance to the center passes the horizon or its
+    parameter reaches t_max(horizon).
+    """
+    base_d = _distances_to_orbit(base_lift[None, :], orbit_lifts, norm)[0]
+    if np.min(base_d) <= 1e-10:
+        k = int(np.argmin(base_d))
+        raise DegenerateCenterError(
+            f"center is fixed by the nontrivial element {words[k]!r}"
+        )
+    horizon = float(np.max(base_d)) / 2.0 + 4.0
+    t_max = t_max(horizon)
+
+    def beaten_at(sub_dirs, t):
+        lifts, d_center = path(sub_dirs, t)
+        dist = _distances_to_orbit(lifts, orbit_lifts, norm, path_norm)
+        dmin = np.min(dist, axis=1)
+        return dmin < d_center, d_center
+
+    # lockstep march: find the first step at which each ray is beaten
+    nrays = dirs.shape[0]
+    lo = np.zeros(nrays)
+    hi = np.full(nrays, np.nan)
+    active = np.arange(nrays)
+    t = 0.0
+    while active.size and t < t_max:
+        t_next = min(t + STEP, t_max)
+        beaten, d_center = beaten_at(dirs[active], t_next)
+        hi[active[beaten]] = t_next
+        lo[active[~beaten]] = t_next
+        active = active[~beaten & (d_center <= horizon)]
+        t = t_next
+
+    crossed = ~np.isnan(hi)
+    sides = {}
+    idx = np.nonzero(crossed)[0]
+    if idx.size:
+        a = lo[idx].copy()
+        b = hi[idx].copy()
+        d_sub = dirs[idx]
+        while np.max(b - a) > BISECTION_TOL:
+            mid = 0.5 * (a + b)
+            beaten, _ = beaten_at(d_sub, mid)
+            b[beaten] = mid[beaten]
+            a[~beaten] = mid[~beaten]
+        witness, _ = path(d_sub, 0.5 * (a + b))
+        dist = _distances_to_orbit(witness, orbit_lifts, norm, path_norm)
+        order = np.argsort(dist, axis=1)
+        for r in range(idx.size):
+            best = order[r, 0]
+            second = dist[r, order[r, 1]] if dist.shape[1] > 1 else np.inf
+            m = second - dist[r, best]
+            if m < margin:
+                continue  # borderline witness, discarded
+            w = words[best]
+            if w not in sides or m < sides[w]:
+                sides[w] = float(m)
+
+    side_words = tuple(sorted(sides))
+    return SideCensus(
+        sides=side_words,
+        margins={w: sides[w] for w in side_words},
+        rays_used=nrays,
+        enumeration_radius=enum_radius,
+        unbounded_ray_fraction=int(np.sum(~crossed)) / nrays,
+    )
 
 
 def dirichlet_side_census(
@@ -143,92 +248,20 @@ def dirichlet_side_census(
         raise ValueError("need at least 100 rays")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
+    words, mats = _census_orbit(gens, enum_radius, budget)
 
-    levels, completed = gr.element_ball(gens, enum_radius, budget=budget)
-    if completed < enum_radius:
-        raise gr.BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
-    words = []
-    mats = []
-    for length, (ws, stack) in enumerate(levels):
-        if length == 0:
-            continue
-        words.extend(ws)
-        mats.append(stack)
-    if not words:
-        raise DegenerateInputError("no nontrivial elements to census")
-    mats = np.concatenate(mats)
-
-    frame = _ball_frame(center)
-    back = frame.inverse().matrix
-    orbit_lifts = np.array([back @ (m @ center.lift) for m in mats])
+    back = _ball_frame(center).inverse().matrix
+    # stacked matrix-vector products: bit for bit those of a per-matrix loop
+    orbit_lifts = (back @ (mats @ center.lift)[..., None])[..., 0]
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
-    base_d = _distances_to_orbit(origin[None, :], orbit_lifts, cnorm)[0]
-    if np.min(base_d) <= 1e-10:
-        k = int(np.argmin(base_d))
-        raise DegenerateCenterError(
-            f"center is fixed by the nontrivial element {words[k]!r}"
-        )
-
-    horizon = float(np.max(base_d)) / 2.0 + 4.0
-    n_real = 2 * (orbit_lifts.shape[1] - 1)
-    dirs = _ray_directions(rays, n_real, seed=seed)
-
-    # lockstep march: find the first step at which each ray is beaten
-    lo = np.zeros(rays)
-    hi = np.full(rays, np.nan)
-    active = np.arange(rays)
-    s = 0.0
-    while active.size and s < horizon:
-        s_next = min(s + STEP, horizon)
-        pts = _chord_lifts(dirs[active], s_next)
-        dmin = np.min(_distances_to_orbit(pts, orbit_lifts, cnorm), axis=1)
-        beaten = dmin < s_next
-        hi[active[beaten]] = s_next
-        lo[active[~beaten]] = s_next
-        active = active[~beaten]
-        s = s_next
-
-    crossed = ~np.isnan(hi)
-    unbounded = int(np.sum(~crossed))
-
-    sides = {}
-    idx = np.nonzero(crossed)[0]
-    if idx.size:
-        a = lo[idx].copy()
-        b = hi[idx].copy()
-        d_sub = dirs[idx]
-        while np.max(b - a) > BISECTION_TOL:
-            mid = 0.5 * (a + b)
-            pts = _chord_lifts(d_sub, mid)
-            dmin = np.min(_distances_to_orbit(pts, orbit_lifts, cnorm), axis=1)
-            beaten = dmin < mid
-            b[beaten] = mid[beaten]
-            a[~beaten] = mid[~beaten]
-        witness = _chord_lifts(d_sub, 0.5 * (a + b))
-        dist = _distances_to_orbit(witness, orbit_lifts, cnorm)
-        order = np.argsort(dist, axis=1)
-        for r in range(idx.size):
-            best = order[r, 0]
-            second = dist[r, order[r, 1]] if dist.shape[1] > 1 else np.inf
-            m = second - dist[r, best]
-            if m < margin:
-                continue  # borderline witness, discarded
-            w = words[best]
-            if w not in sides or m < sides[w]:
-                sides[w] = float(m)
-
-    side_words = tuple(sorted(sides))
-    return SideCensus(
-        sides=side_words,
-        margins={w: sides[w] for w in side_words},
-        rays_used=rays,
-        enumeration_radius=enum_radius,
-        unbounded_ray_fraction=unbounded / rays,
+    dirs = _ray_directions(rays, 2 * (orbit_lifts.shape[1] - 1), seed=seed)
+    # rays from the origin are unit-speed: the parameter is the distance
+    return _first_exit_census(
+        words, origin, orbit_lifts, cnorm,
+        lambda sub_dirs, s: (_chord_lifts(sub_dirs, s), s),
+        dirs, lambda horizon: horizon, margin, enum_radius, path_norm=-1.0,
     )
 
 
@@ -252,17 +285,22 @@ def parabolic_projection(p, model, u0):
     raise ValueError(f"unknown model {model!r}")
 
 
+def _slice_coords(model, coords, n):
+    """(xi, v) of a stack of slice coordinates (..., model dim)."""
+    xi = np.zeros(coords.shape[:-1] + (n - 1,), dtype=complex)
+    if model == "vertical-axis":
+        return xi, coords[..., 0]
+    xi[..., 0] = coords[..., 0]
+    if model == "horizontal-line":
+        return xi, np.zeros(coords.shape[:-1])
+    # slice coordinate w is the twisted height; xi here is real so v = w
+    return xi, coords[..., 1]
+
+
 def _slice_point(model, coords, u0, n=2):
     """HoroPoint of slice coordinates within the chosen model."""
-    xi = np.zeros(n - 1, dtype=complex)
-    if model == "vertical-axis":
-        return hb.HoroPoint(xi, float(coords[0]), u0)
-    if model == "horizontal-line":
-        xi[0] = coords[0]
-        return hb.HoroPoint(xi, 0.0, u0)
-    xi[0] = coords[0]
-    # slice coordinate w is the twisted height; xi here is real so v = w
-    return hb.HoroPoint(xi, float(coords[1]), u0)
+    xi, v = _slice_coords(model, np.asarray(coords, dtype=float), n)
+    return hb.HoroPoint(xi, v, u0)
 
 
 def _model_dim(model):
@@ -327,107 +365,26 @@ def pullback_domain_sides(
 
 
 def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
-    levels, completed = gr.element_ball(gens, enum_radius, budget=budget)
-    if completed < enum_radius:
-        raise gr.BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
-    words = []
-    mats = []
-    for length, (ws, stack) in enumerate(levels):
-        if length == 0:
-            continue
-        words.extend(ws)
-        mats.append(stack)
-    if not words:
-        raise DegenerateInputError("no nontrivial elements to census")
-    mats = np.concatenate(mats)
-
+    words, mats = _census_orbit(gens, enum_radius, budget)
     dim = _model_dim(model)
     n = gens.dim - 1
-    center = _slice_point(model, (0.0,) * dim, u0, n=n)
-    ylift = hb.horo_to_projective(center).lift
-    orbit_lifts = np.array([m @ ylift for m in mats])
+    ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift
     ynorm = float(core.herm_inner(ylift, ylift).real)
-    base_d = _distances_to_orbit(ylift[None, :], orbit_lifts, ynorm)[0]
-    if np.min(base_d) <= 1e-10:
-        k = int(np.argmin(base_d))
-        raise DegenerateCenterError(
-            f"slice center is fixed by the nontrivial element {words[k]!r}"
-        )
 
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
-        nrays = 2
     else:
         angles = 2 * np.pi * (np.arange(rays) + 0.5) / rays
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        nrays = rays
 
-    horizon = float(np.max(base_d)) / 2.0 + 4.0
+    def path(sub_dirs, t):
+        xi, v = _slice_coords(model, np.asarray(t)[..., None] * sub_dirs, n)
+        lifts = hb._horo_lifts(xi, v, u0)
+        return lifts, _distances_to_orbit(lifts, ylift[None, :], ynorm)[:, 0]
 
-    def slice_lifts(sub_dirs, radii):
-        pts = []
-        radii = np.broadcast_to(radii, (sub_dirs.shape[0],))
-        for k in range(sub_dirs.shape[0]):
-            coords = tuple(radii[k] * sub_dirs[k])
-            pts.append(hb.horo_to_projective(_slice_point(model, coords, u0, n=n)).lift)
-        return np.array(pts)
-
-    def center_dist(lifts):
-        return _distances_to_orbit(lifts, ylift[None, :], ynorm)[:, 0]
-
-    lo = np.zeros(nrays)
-    hi = np.full(nrays, np.nan)
-    active = np.arange(nrays)
-    t = 0.0
     # slice paths are not unit-speed geodesics; march the slice coordinate
     # until the ambient distance to the center clears the horizon
-    while active.size and t < horizon * 3.0 + 10.0:
-        t_next = t + STEP
-        pts = slice_lifts(dirs[active], t_next)
-        dmin = np.min(_distances_to_orbit(pts, orbit_lifts, ynorm), axis=1)
-        d0 = center_dist(pts)
-        beaten = dmin < d0
-        hi[active[beaten]] = t_next
-        lo[active[~beaten]] = t_next
-        active = active[~beaten & (d0 <= horizon)]
-        t = t_next
-
-    crossed = ~np.isnan(hi)
-    unbounded = int(np.sum(~crossed))
-    sides = {}
-    idx = np.nonzero(crossed)[0]
-    if idx.size:
-        a = lo[idx].copy()
-        b = hi[idx].copy()
-        d_sub = dirs[idx]
-        while np.max(b - a) > BISECTION_TOL:
-            mid = 0.5 * (a + b)
-            pts = slice_lifts(d_sub, mid)
-            dmin = np.min(_distances_to_orbit(pts, orbit_lifts, ynorm), axis=1)
-            beaten = dmin < center_dist(pts)
-            b[beaten] = mid[beaten]
-            a[~beaten] = mid[~beaten]
-        witness = slice_lifts(d_sub, 0.5 * (a + b))
-        dist = _distances_to_orbit(witness, orbit_lifts, ynorm)
-        order = np.argsort(dist, axis=1)
-        for r in range(idx.size):
-            best = order[r, 0]
-            second = dist[r, order[r, 1]] if dist.shape[1] > 1 else np.inf
-            m = second - dist[r, best]
-            if m < margin:
-                continue
-            w = words[best]
-            if w not in sides or m < sides[w]:
-                sides[w] = float(m)
-
-    side_words = tuple(sorted(sides))
-    return SideCensus(
-        sides=side_words,
-        margins={w: sides[w] for w in side_words},
-        rays_used=nrays,
-        enumeration_radius=enum_radius,
-        unbounded_ray_fraction=unbounded / nrays,
+    return _first_exit_census(
+        words, ylift, mats @ ylift, ynorm, path, dirs,
+        lambda horizon: horizon * 3.0 + 10.0, margin, enum_radius,
     )

@@ -292,16 +292,21 @@ def embed_rotation(a):
     return embed_isometry(sim)
 
 
+def _horo_lifts(xi, v, u):
+    """Lifts of a stack of (xi, v, u): xi is (..., n-1), v and u broadcast."""
+    q = (np.abs(xi) ** 2).sum(axis=-1)
+    k = xi.shape[-1]
+    z = np.empty(xi.shape[:-1] + (k + 2,), dtype=complex)
+    z[..., :k] = xi
+    z[..., k] = 0.5 * (1.0 - q - u + 1j * v)
+    z[..., k + 1] = 0.5 * (1.0 + q + u - 1j * v)
+    return z
+
+
 def horo_to_projective(p):
     """Lift (xi, v, u) to C^{n,1}; the lift satisfies <z, z> = -u."""
     p = _horo(p)
-    q = float(np.sum(np.abs(p.xi) ** 2))
-    k = p.xi.shape[0]
-    z = np.empty(k + 2, dtype=complex)
-    z[:k] = p.xi
-    z[k] = 0.5 * (1.0 - q - p.u + 1j * p.v)
-    z[k + 1] = 0.5 * (1.0 + q + p.u - 1j * p.v)
-    return core.ProjectivePoint(z)
+    return core.ProjectivePoint(_horo_lifts(p.xi, p.v, p.u))
 
 
 def projective_to_horo(p, tol=1e-12):

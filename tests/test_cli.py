@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import chgeom.cli as cli
+import chgeom.errors as errors
 import chgeom.heisenberg as hb
 
 
@@ -326,3 +327,71 @@ def test_out_file_written_on_success(tmp_path):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("classify", ["--preset", "schottky"]),
+    ("orbit", ["--preset", "z2-lattice", "--depth", "2"]),
+    ("limitset", ["--preset", "fuchsian", "--depth", "2"]),
+    ("packing", []),
+    ("profile", ["--preset", "dilation", "--depth", "2"]),
+])
+def test_tol_rejected_where_nothing_reads_it(monkeypatch, command, extra):
+    args = ["--command", command] + extra
+    rc, out, err = run_cli(args + ["--tol", "1e-6"])
+    assert rc == 2 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError"
+    assert "--tol" in info["message"]
+    # the environment variable is not even parsed for these commands
+    monkeypatch.setenv(cli.TOL_ENV, "not-a-number")
+    rc, out, err = run_cli(args)
+    assert rc == 0, err
+
+
+# every typed error, with the exit code and JSON fields that the except
+# chain in main() gave it before the errors carried their own codes
+_ERROR_TABLE = [
+    (errors.FormViolationError("m", defect=0.25), 2, {"defect": 0.25}),
+    (errors.DimensionError("m"), 2, {}),
+    (errors.InvalidPointError("m"), 2, {}),
+    (errors.DegenerateCenterError("m"), 3, {}),
+    (errors.DegenerateInputError("m"), 3, {}),
+    (errors.PointClassError("m"), 3, {}),
+    (errors.PoleError("m"), 3, {}),
+    (errors.PointAtInfinityError("m"), 3, {}),
+    (errors.BorderlineClassError("m", eigenvalues=[1.0]), 3, {}),
+    (errors.CertificateError("m", pair=(0, 1)), 4, {"pair": [0, 1]}),
+    (errors.CertificateError("m"), 4, {}),
+    (errors.InvarianceError("m"), 4, {}),
+    (errors.BranchBoundaryError("m"), 4, {}),
+    (errors.InvalidPackingError("m"), 4, {}),
+    (ValueError("m"), 4, {}),
+    (errors.BudgetExceededError("m", completed_radius=7), 5,
+     {"completed_radius": 7}),
+    (errors.BudgetExceededError("m"), 5, {"completed_radius": None}),
+    (cli._InputError("m"), 2, {}),
+]
+
+
+@pytest.mark.parametrize("exc,code,fields", _ERROR_TABLE,
+                         ids=[type(e).__name__ for e, _, _ in _ERROR_TABLE])
+def test_error_exit_codes_and_json(monkeypatch, exc, code, fields):
+    def fail(args, tol):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "packing", fail)
+    rc, out, err = run_cli(["--command", "packing"])
+    assert rc == code and out == ""
+    info = {"type": type(exc).__name__.lstrip("_"), "message": "m",
+            "exit": code, **fields}
+    assert err == json.dumps({"error": info}, sort_keys=True) + "\n"
+
+
+def test_every_geometry_error_has_an_exit_code():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.GeometryError)]
+    assert len(classes) == 15
+    for c in classes:
+        assert "exit_code" in vars(c), c.__name__
+        assert c.exit_code in (2, 3, 4, 5)

@@ -13,15 +13,25 @@ the center:
 - the ball census conjugates the center to the ball-model origin, where
   geodesic rays are affine chords along quasi-uniform directions u; t is
   the distance itself and the lifts (sinh(t/2) u, cosh(t/2)) have form
-  norm -1, which the kernel uses instead of recomputing it;
+  norm -1, which the witnesses use instead of recomputing it;
 - the slice census walks straight lines in the coordinates of an
   invariant slice (see parabolic_projection); t is the slice coordinate
   and the distance is the ambient Bergman distance.
+
+The march and the bisection never compute a distance to the orbit.  Since
+cosh^2(d(x, y)/2) = |<x, y>|^2 / (<x, x> <y, y>), a point x is beaten when
+min_g |<x, g c>|^2 < |<x, c>|^2 <gc, gc> / <c, c>, where the norm of x
+cancels.  By the triangle inequality only g with d(c, g c) < 2 d(x, c)
+can beat x, so the orbit is sorted once by d(c, g c) and each batch scans
+the prefix below twice its largest distance to the center, widened by a
+slack that rounding cannot cross (_prefix_cut).  Only the witnesses take
+Bergman distances, over the whole orbit, for their margins.
 
 The census is a lower-bound certificate over the enumerated ball, never a
 completeness claim.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,7 @@ DEFAULT_RAYS = 2000
 STEP = 0.05
 BISECTION_TOL = 1e-9
 SIDE_MARGIN = 1e-6
+PREFIX_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,18 @@ def bisector_margin(z, y, gy):
 
 
 def _ball_frame(center):
-    """J-unitary matrix sending the ball-model origin to the center."""
+    """J-unitary matrix sending the ball-model origin to the center.
+
+    The lift is rotated to a real positive last coordinate first, so the
+    frame, and the census run in it, depend only on the projective point.
+    """
     lift = center.lift
     d = lift.shape[0]
     norm = core.herm_inner(lift, lift).real
     if norm >= 0:
         raise DegenerateInputError("center must be an interior point")
-    b = lift / np.sqrt(-norm)
+    # the last coordinate of an interior point is never 0
+    b = lift * (np.conj(lift[-1]) / abs(lift[-1])) / np.sqrt(-norm)
     cols = [b]
     for k in range(d):
         w = np.zeros(d, dtype=complex)
@@ -151,15 +167,55 @@ def _census_orbit(gens, enum_radius, budget):
     return words, np.concatenate([stack for _, stack in levels[1:]])
 
 
+def _prefix_cut(d, dim):
+    """Bound on d(c, g c) for the g that can beat a point x with d(x, c) <= d.
+
+    The triangle inequality gives 2 d.  The slack covers the rounding of
+    base_d and d, and that of the squared test, whose relative error near
+    the geodesic from c to g c grows like eps e^d in dimension `dim`.
+    """
+    noise = 8.0 * dim * np.finfo(float).eps * math.exp(min(d, 700.0))
+    return 2.0 * d + PREFIX_SLACK * (1.0 + 2.0 * d) + noise
+
+
+def _exit_test(base_lift, orbit_lifts, norm, base_d):
+    """beaten(lifts, d_center): is some orbit image nearer than the center?
+
+    Squared inner products over the orbit sorted by base_d, cut below
+    _prefix_cut of the largest d_center (see the module docstring); nothing
+    is divided, square rooted or arccosh'd per (ray, orbit point) pair.
+    """
+    dim = base_lift.shape[0]
+    j = np.ones(dim)
+    j[-1] = -1.0
+    order = np.argsort(base_d, kind="stable")
+    bound = base_d[order]
+    rows = np.ascontiguousarray(np.conj(orbit_lifts[order] * j))
+    own_row = np.conj(base_lift * j)
+    scale = norm / float(core.herm_inner(base_lift, base_lift).real)
+
+    def beaten(lifts, d_center):
+        k = int(np.searchsorted(bound, _prefix_cut(float(np.max(d_center)), dim)))
+        if k == 0:
+            return np.zeros(lifts.shape[0], dtype=bool)
+        inner = (lifts @ rows[:k].T).view(float)
+        inner *= inner
+        nearest = np.min(inner[:, 0::2] + inner[:, 1::2], axis=1)
+        own = lifts @ own_row
+        return nearest < (own.real ** 2 + own.imag ** 2) * scale
+
+    return beaten
+
+
 def _first_exit_census(
     words, base_lift, orbit_lifts, norm, path, dirs, t_max, margin, enum_radius,
     path_norm=None,
 ):
     """March, bisect and certify the first bisector exit of every ray.
 
-    base_lift is the center and orbit_lifts its images under `words`, all
-    of form norm `norm`; path_norm is the norm of every path lift when it
-    is known (None recomputes it per lift).  A ray that is not beaten
+    base_lift is the center and orbit_lifts its images under `words`, of
+    form norm `norm`; path_norm is the norm of every path lift when it is
+    known (None recomputes it per witness).  A ray that is not beaten
     drops out once its distance to the center passes the horizon or its
     parameter reaches t_max(horizon).
     """
@@ -171,12 +227,7 @@ def _first_exit_census(
         )
     horizon = float(np.max(base_d)) / 2.0 + 4.0
     t_max = t_max(horizon)
-
-    def beaten_at(sub_dirs, t):
-        lifts, d_center = path(sub_dirs, t)
-        dist = _distances_to_orbit(lifts, orbit_lifts, norm, path_norm)
-        dmin = np.min(dist, axis=1)
-        return dmin < d_center, d_center
+    beaten = _exit_test(base_lift, orbit_lifts, norm, base_d)
 
     # lockstep march: find the first step at which each ray is beaten
     nrays = dirs.shape[0]
@@ -186,10 +237,11 @@ def _first_exit_census(
     t = 0.0
     while active.size and t < t_max:
         t_next = min(t + STEP, t_max)
-        beaten, d_center = beaten_at(dirs[active], t_next)
-        hi[active[beaten]] = t_next
-        lo[active[~beaten]] = t_next
-        active = active[~beaten & (d_center <= horizon)]
+        lifts, d_center = path(dirs[active], t_next)
+        hit = beaten(lifts, d_center)
+        hi[active[hit]] = t_next
+        lo[active[~hit]] = t_next
+        active = active[~hit & (d_center <= horizon)]
         t = t_next
 
     crossed = ~np.isnan(hi)
@@ -201,21 +253,20 @@ def _first_exit_census(
         d_sub = dirs[idx]
         while np.max(b - a) > BISECTION_TOL:
             mid = 0.5 * (a + b)
-            beaten, _ = beaten_at(d_sub, mid)
-            b[beaten] = mid[beaten]
-            a[~beaten] = mid[~beaten]
+            hit = beaten(*path(d_sub, mid))
+            b[hit] = mid[hit]
+            a[~hit] = mid[~hit]
         witness, _ = path(d_sub, 0.5 * (a + b))
         dist = _distances_to_orbit(witness, orbit_lifts, norm, path_norm)
-        order = np.argsort(dist, axis=1)
-        for r in range(idx.size):
-            best = order[r, 0]
-            second = dist[r, order[r, 1]] if dist.shape[1] > 1 else np.inf
-            m = second - dist[r, best]
-            if m < margin:
-                continue  # borderline witness, discarded
-            w = words[best]
-            if w not in sides or m < sides[w]:
-                sides[w] = float(m)
+        best = np.argmin(dist, axis=1)
+        second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
+                  else np.inf)
+        m = second - dist[np.arange(idx.size), best]
+        keep = m >= margin  # borderline witnesses are discarded
+        best, m = best[keep], m[keep]
+        least = np.full(len(words), np.inf)
+        np.minimum.at(least, best, m)
+        sides = {words[g]: float(least[g]) for g in np.unique(best)}
 
     side_words = tuple(sorted(sides))
     return SideCensus(

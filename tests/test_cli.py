@@ -277,6 +277,27 @@ def test_json_determinism_same_seed():
     assert without_timestamp(first) == without_timestamp(second)
 
 
+def test_dirichlet_output_independent_of_blas_threads():
+    # the census march multiplies prefix slices of the orbit; OpenBLAS may
+    # split such products across threads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, chgeom.cli as cli; sys.exit(cli.main(['--command', "
+            "'dirichlet', '--preset', 'z2-lattice', '--radius', '6', "
+            "'--rays', '2000']))")
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True)
+        outputs.append(b"".join(ln for ln in proc.stdout.splitlines(True)
+                                if b'"timestamp"' not in ln))
+    assert outputs[0] == outputs[1]
+
+
 def test_orbit_determinism_same_seed():
     args = ["--command", "orbit", "--preset", "z2-lattice", "--depth", "3"]
     _, first, _ = run_cli(args)

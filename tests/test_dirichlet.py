@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -555,3 +557,232 @@ def test_census_past_the_tanh_horizon_is_clean():
     census = dm.dirichlet_side_census(gens, cli._ball_origin(3), 70, rays=200)
     assert census.sides == ("A", "a")
     assert 0.0 < census.unbounded_ray_fraction < 1.0
+
+
+# --- reference first-exit kernel: the arccosh beaten test it replaced ---
+# Kept verbatim: every (ray, orbit point) pair goes through a full Bergman
+# distance and the witness loop sorts each row.  The kernel's squared
+# inner products over a bisector-bound prefix of the orbit, and its
+# vectorised witness certification, must give the same census bit for bit.
+
+
+def ref_first_exit_census(
+    words, base_lift, orbit_lifts, norm, path, dirs, t_max, margin, enum_radius,
+    path_norm=None,
+):
+    base_d = dm._distances_to_orbit(base_lift[None, :], orbit_lifts, norm)[0]
+    if np.min(base_d) <= 1e-10:
+        k = int(np.argmin(base_d))
+        raise DegenerateCenterError(
+            f"center is fixed by the nontrivial element {words[k]!r}"
+        )
+    horizon = float(np.max(base_d)) / 2.0 + 4.0
+    t_max = t_max(horizon)
+
+    def beaten_at(sub_dirs, t):
+        lifts, d_center = path(sub_dirs, t)
+        dist = dm._distances_to_orbit(lifts, orbit_lifts, norm, path_norm)
+        dmin = np.min(dist, axis=1)
+        return dmin < d_center, d_center
+
+    nrays = dirs.shape[0]
+    lo = np.zeros(nrays)
+    hi = np.full(nrays, np.nan)
+    active = np.arange(nrays)
+    t = 0.0
+    while active.size and t < t_max:
+        t_next = min(t + dm.STEP, t_max)
+        beaten, d_center = beaten_at(dirs[active], t_next)
+        hi[active[beaten]] = t_next
+        lo[active[~beaten]] = t_next
+        active = active[~beaten & (d_center <= horizon)]
+        t = t_next
+
+    crossed = ~np.isnan(hi)
+    sides = {}
+    idx = np.nonzero(crossed)[0]
+    if idx.size:
+        a = lo[idx].copy()
+        b = hi[idx].copy()
+        d_sub = dirs[idx]
+        while np.max(b - a) > dm.BISECTION_TOL:
+            mid = 0.5 * (a + b)
+            beaten, _ = beaten_at(d_sub, mid)
+            b[beaten] = mid[beaten]
+            a[~beaten] = mid[~beaten]
+        witness, _ = path(d_sub, 0.5 * (a + b))
+        dist = dm._distances_to_orbit(witness, orbit_lifts, norm, path_norm)
+        order = np.argsort(dist, axis=1)
+        for r in range(idx.size):
+            best = order[r, 0]
+            second = dist[r, order[r, 1]] if dist.shape[1] > 1 else np.inf
+            m = second - dist[r, best]
+            if m < margin:
+                continue  # borderline witness, discarded
+            w = words[best]
+            if w not in sides or m < sides[w]:
+                sides[w] = float(m)
+
+    side_words = tuple(sorted(sides))
+    return dm.SideCensus(
+        sides=side_words,
+        margins={w: sides[w] for w in side_words},
+        rays_used=nrays,
+        enumeration_radius=enum_radius,
+        unbounded_ray_fraction=int(np.sum(~crossed)) / nrays,
+    )
+
+
+def scaled_center():
+    # a lift of form norm -0.0016, not -1
+    return core.ProjectivePoint(
+        0.1 * hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 0.0, 0.25)).lift
+    )
+
+
+KERNEL_BALL_CASES = [
+    ("cyclic-vertical", "origin", 6, 2000),
+    ("z2-lattice", "origin", 6, 2000),
+    ("z2-lattice", "slab", 3, 2000),
+    ("z2-lattice", "scaled", 4, 2000),
+    ("dilation", "origin", 6, 2000),
+    ("schottky", "origin", 3, 2000),
+]
+
+
+def _same_census_bits(got, want):
+    assert got == want
+    assert [repr(got.margins[w]) for w in got.sides] == [
+        repr(want.margins[w]) for w in want.sides
+    ]
+    assert repr(got.unbounded_ray_fraction) == repr(want.unbounded_ray_fraction)
+
+
+@pytest.mark.parametrize("preset,where,radius,rays", KERNEL_BALL_CASES)
+def test_ball_kernel_matches_arccosh_reference_bit_for_bit(
+    preset, where, radius, rays, monkeypatch
+):
+    gens = ps.group_preset(preset)
+    center = {"origin": cli._ball_origin(gens.dim), "slab": slab_center(),
+              "scaled": scaled_center()}[where]
+    got = dm.dirichlet_side_census(gens, center, radius, rays=rays)
+    monkeypatch.setattr(dm, "_first_exit_census", ref_first_exit_census)
+    want = dm.dirichlet_side_census(gens, center, radius, rays=rays)
+    _same_census_bits(got, want)
+
+
+@pytest.mark.parametrize("make_gens,model,rays", SLICE_CASES)
+def test_slice_kernel_matches_arccosh_reference_bit_for_bit(
+    make_gens, model, rays, monkeypatch
+):
+    args = (make_gens(), model, 1.0, 3, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
+    got = dm._slice_census(*args)
+    monkeypatch.setattr(dm, "_first_exit_census", ref_first_exit_census)
+    _same_census_bits(got, dm._slice_census(*args))
+
+
+def test_census_depends_only_on_the_projective_center():
+    # v != 0 gives the lift a complex last coordinate, whose phase used to
+    # rotate the orbit against the fixed rays
+    gens = z2_lattice()
+    lift = hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 0.3, 1.0)).lift
+    want = dm.dirichlet_side_census(gens, core.ProjectivePoint(lift), 4)
+    for factor in (3 - 2j, 0.1):
+        got = dm.dirichlet_side_census(gens, core.ProjectivePoint(lift * factor), 4)
+        assert got.sides == want.sides
+        assert got.unbounded_ray_fraction == want.unbounded_ray_fraction
+        for w in want.sides:
+            assert abs(got.margins[w] - want.margins[w]) <= 1e-9
+
+
+def _ball_orbit(preset, radius, center):
+    gens = ps.group_preset(preset)
+    _, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    back = dm._ball_frame(center).inverse().matrix
+    orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
+    norm = float(core.herm_inner(center.lift, center.lift).real)
+    origin = cli._ball_origin(gens.dim).lift
+    base_d = dm._distances_to_orbit(origin[None, :], orbit, norm)[0]
+    return origin, orbit, norm, base_d
+
+
+@functools.cache
+def _orbit_case(key):
+    preset, radius, where = key
+    center = scaled_center() if where == "scaled" else cli._ball_origin(3)
+    return _ball_orbit(preset, radius, center)
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("z2-lattice", 6, "origin"), ("z2-lattice", 4, "scaled"),
+                     ("schottky", 3, "origin"), ("cyclic-vertical", 6, "origin")]),
+    st.lists(st.tuples(st.lists(_unit, min_size=4, max_size=4),
+                       st.floats(min_value=0.0, max_value=12.0)),
+             max_size=8),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=8),
+)
+def test_prefix_cut_decides_as_the_full_orbit(key, free, ties):
+    origin, orbit, norm, base_d = _orbit_case(key)
+    dirs, dist = [], []
+    for u, s in free:
+        u = np.array(u)
+        if np.linalg.norm(u) > 1e-3:
+            dirs.append(u / np.linalg.norm(u))
+            dist.append(s)
+    # exact ties: the midpoint of [o, g o], equidistant from o and g o
+    for k in ties:
+        g = k % orbit.shape[0]
+        z = orbit[g, :-1] / orbit[g, -1]
+        u = np.concatenate([z.real, z.imag])
+        dirs.append(u / np.linalg.norm(u))
+        dist.append(base_d[g] / 2.0)
+    dirs, dist = np.array(dirs), np.array(dist)
+    lifts = dm._chord_lifts(dirs, dist)
+    # the full orbit, unsorted: ratio < 1 when g c is nearer to x than c is
+    j = np.array([1.0, 1.0, -1.0])
+    inner = lifts @ np.conj(orbit * j).T
+    ratio = (inner.real ** 2 + inner.imag ** 2) / (
+        np.abs(lifts[:, -1]) ** 2 * -norm
+    )[:, None]
+    nearest = np.min(ratio, axis=1)
+    # at a tie (the midpoints) rounding decides, and BLAS rounds a product
+    # differently for other shapes, by up to about eps e^d relative; there
+    # the cut must keep every element that is tied or counted, and elsewhere
+    # the decisions must agree
+    decided = np.abs(nearest - 1.0) > 1e-12 * np.exp(dist)
+    beaten = dm._exit_test(origin, orbit, norm, base_d)
+    assert np.array_equal(beaten(lifts, dist)[decided], nearest[decided] < 1.0)
+    contenders = ratio <= 1.0 + 1e-12
+    assert np.all(base_d[np.any(contenders, axis=0)] < dm._prefix_cut(dist.max(), 3))
+    for r in range(len(dist)):
+        if decided[r]:
+            assert beaten(lifts[r : r + 1], dist[r : r + 1])[0] == (nearest[r] < 1.0)
+        assert np.all(base_d[contenders[r]] < dm._prefix_cut(dist[r], 3))
+
+
+def test_prefix_cut_keeps_far_elements_where_the_squared_test_rounds():
+    # Schottky r5 reaches d(c, g c) = 66.  Near the geodesic from c to g c,
+    # |<x, g c>|^2 carries a relative rounding error of order eps e^{d(x, c)},
+    # about 0.1 at its midpoint, so the full scan may count g at points a
+    # little short of that midpoint; the cut must keep g there.  The check
+    # multiplies arrays of the kernel's own shapes: BLAS rounds a product of
+    # other shapes differently, and here the rounding decides.
+    origin, orbit, norm, base_d = _ball_orbit("schottky", 5, cli._ball_origin(3))
+    j = np.array([1.0, 1.0, -1.0])
+    counted = 0
+    for g in np.nonzero(base_d > 40.0)[0]:
+        z = orbit[g, :-1] / orbit[g, -1]
+        u = np.concatenate([z.real, z.imag])
+        beaten = dm._exit_test(origin, orbit[g : g + 1], norm, base_d[g : g + 1])
+        for shrink in (0.0, 1e-8, 1e-6):
+            dist = np.array([base_d[g] / 2.0 * (1.0 - shrink)])
+            lift = dm._chord_lifts((u / np.linalg.norm(u))[None, :], dist)
+            inner = lift @ np.conj(orbit[g : g + 1] * j).T
+            full = inner.real ** 2 + inner.imag ** 2 < abs(lift[0, -1]) ** 2 * -norm
+            assert beaten(lift, dist)[0] == full[0, 0]
+            counted += int(shrink > 0 and full[0, 0])
+    assert counted > 0  # rounding does count g short of the midpoint

@@ -18,6 +18,7 @@ from . import heisenberg as hb
 from .errors import (
     BranchBoundaryError,
     DegenerateInputError,
+    PointAtInfinityError,
     PointClassError,
 )
 
@@ -285,7 +286,7 @@ def _nearest_fixed_point(candidates, previous):
     for p in candidates:
         try:
             q = hb.projective_to_horo(p).boundary()
-        except Exception:
+        except PointAtInfinityError:
             continue  # the point at infinity is never the tracked one
         d = hb.cygan_dist(q, prev_pt)
         if d < best_d:

@@ -25,7 +25,7 @@ from . import dirichlet as dr
 from . import groups as gr
 from . import heisenberg as hb
 from . import presets as ps
-from .errors import GeometryError
+from .errors import GeometryError, PointAtInfinityError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,32 +137,33 @@ def _load_generator_file(path):
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _gens_from_matrices(mats):
-    pairs = []
-    involutive = set()
-    for k, m in enumerate(mats):
-        if k >= len(_LABELS):
-            raise _InputError("too many generators for labeling")
-        label = _LABELS[k]
-        iso = core.Isometry(m)
-        if core.is_projective_identity(iso.matrix @ iso.matrix):
-            involutive.add(label)
-        pairs.append((label, iso))
-    return gr.GroupGens(tuple(pairs), involutive=frozenset(involutive))
+def _gens_from_isometries(isos):
+    if len(isos) > len(_LABELS):
+        raise _InputError("too many generators for labeling")
+    involutive = [label for label, iso in zip(_LABELS, isos)
+                  if core.is_projective_identity(iso.matrix @ iso.matrix)]
+    return gr.GroupGens(tuple(zip(_LABELS, isos)), involutive=involutive)
 
 
-def _resolve_group(args, allowed_presets):
+def _resolve_group(args, allowed_presets, labeled=True):
+    """The preset named by --preset, or the matrices of that generator file.
+
+    A file's matrices must have size n+1 when --n is given.  labeled=False
+    returns the isometries alone, which need no labels, so any number of
+    them is accepted.
+    """
     if not args.preset:
         raise _InputError("--preset is required for this command")
     if args.preset in allowed_presets:
-        return ps.group_preset(args.preset)
+        gens = ps.group_preset(args.preset)
+        return gens if labeled else list(gens.isometries)
     if os.path.exists(args.preset):
-        gens = _gens_from_matrices(_load_generator_file(args.preset))
-        if args.n is not None and gens.dim != args.n + 1:
+        isos = [core.Isometry(m) for m in _load_generator_file(args.preset)]
+        if args.n is not None and isos[0].n != args.n:
             raise _InputError(
-                f"generator file dimension {gens.dim} does not match "
+                f"generator file dimension {isos[0].n + 1} does not match "
                 f"--n {args.n}")
-        return gens
+        return _gens_from_isometries(isos) if labeled else isos
     raise _InputError(
         f"unknown preset {args.preset!r} (expected one of "
         f"{', '.join(allowed_presets)} or a generator file path)")
@@ -186,45 +187,38 @@ def _ball_origin(dim):
     return core.ProjectivePoint(lift)
 
 
-def _point_payload(point):
-    """Horospherical coordinates of a projective point, as JSON fields."""
-    if point.projectively_equal(core.infinity_point(point.lift.shape[0] - 1)):
-        return {"at_infinity": True}
-    horo = hb.projective_to_horo(point)
-    return {
-        "at_infinity": False,
-        "xi_re": [float(x) for x in horo.xi.real],
-        "xi_im": [float(x) for x in horo.xi.imag],
-        "v": float(horo.v),
-        "u": float(horo.u),
-    }
+def _points_payload(lifts, **columns):
+    """JSON fields of the points of a (k, n+1) lift stack, one dict per row.
+
+    Each dict holds at_infinity and, for finite points, the horospherical
+    coordinates, plus the row's entry of every extra column.
+    """
+    infinity = core.infinity_point(lifts.shape[1] - 1).lift
+    at_inf = core.projective_lift_gap(lifts, infinity) <= core.PROJ_TOL
+    finite, xi, v, u = hb._lift_coords(lifts[~at_inf], 1e-12)
+    if not finite.all():
+        raise PointAtInfinityError(
+            "the point at infinity has no horospherical coordinates")
+    coords = zip(xi.real.tolist(), xi.imag.tolist(), v.tolist(), u.tolist())
+    names = ("xi_re", "xi_im", "v", "u")
+    rows = ({"at_infinity": True} if inf else
+            {"at_infinity": False, **dict(zip(names, next(coords)))}
+            for inf in at_inf.tolist())
+    return [{**row, **dict(zip(columns, values))}
+            for row, *values in zip(rows, *columns.values())]
 
 
 def _cmd_classify(args, tol):
-    if not args.preset:
-        raise _InputError("--preset is required: a preset name or a file "
-                          "with the matrices to classify")
-    if args.preset in ps.GROUP_PRESETS:
-        gens = ps.group_preset(args.preset)
-        isos = list(gens.isometries)
-    elif os.path.exists(args.preset):
-        isos = [core.Isometry(m) for m in
-                _load_generator_file(args.preset)]
-    else:
-        raise _InputError(f"no such preset or file: {args.preset!r}")
     results = []
-    for iso in isos:
+    for iso in _resolve_group(args, ps.GROUP_PRESETS, labeled=False):
         tag = core.classify_isometry(iso)
         eig = np.linalg.eigvals(iso.matrix)
-        if tag == "identity":
-            fixed = []
-        else:
-            fixed = [_point_payload(q)
-                     for q in core.boundary_fixed_points(iso)]
+        fixed = [] if tag == "identity" else core.boundary_fixed_points(iso)
+        lifts = np.array([q.lift for q in fixed], dtype=complex)
         results.append({
             "class": tag,
             "eigenvalues": [[float(z.real), float(z.imag)] for z in eig],
-            "boundary_fixed_points": fixed,
+            "boundary_fixed_points": _points_payload(lifts.reshape(-1, iso.n + 1)),
         })
     return {"meta": _meta(args), "results": results}
 
@@ -301,14 +295,10 @@ def _cmd_orbit(args, tol):
     depth = args.depth if args.depth is not None else 4
     if depth < 1:
         raise _InputError("--depth must be >= 1")
-    records = gr.orbit_enumerate(gens, depth, _ball_origin(gens.dim))
-    points = []
-    for rec in records:
-        payload = _point_payload(rec.point)
-        payload["word"] = rec.word
-        payload["word_length"] = int(rec.word_length)
-        payload["distance"] = float(rec.distance)
-        points.append(payload)
+    orbit = gr.orbit_enumerate(gens, depth, _ball_origin(gens.dim))
+    points = _points_payload(orbit.lifts, word=orbit.words,
+                             word_length=orbit.word_lengths.tolist(),
+                             distance=orbit.distances.tolist())
     return {"meta": _meta(args), "points": points}
 
 

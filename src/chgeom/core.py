@@ -102,14 +102,6 @@ class ProjectivePoint:
     def __init__(self, lift):
         self.lift = _checked_lifts(lift, ndim=1)
 
-    @classmethod
-    def from_rows(cls, lifts):
-        """One point per row of a (k, n+1) lift stack, validated as a batch."""
-        points = [cls.__new__(cls) for _ in range(len(lifts))]
-        for point, lift in zip(points, _checked_lifts(lifts, ndim=2)):
-            point.lift = lift
-        return points
-
     @property
     def n(self):
         return self.lift.shape[0] - 1
@@ -286,6 +278,30 @@ def projective_apply(m, p):
     if mat.shape[1] != p.lift.shape[0]:
         raise DimensionError("matrix and point dimensions differ")
     return ProjectivePoint(mat @ p.lift)
+
+
+def _form_norms(lifts):
+    """<z, z> of each row of a lift stack, as reals."""
+    j = np.ones(lifts.shape[-1])
+    j[-1] = -1.0
+    return ((lifts * j) * lifts.conj()).sum(axis=-1).real
+
+
+def _bergman_distances(lifts, others, others_norm=None, lift_norm=None):
+    """Bergman distances between every row of `lifts` and every row of `others`.
+
+    When a stack's rows are isometry images of one point, pass that point's
+    form norm (others_norm, or lift_norm when every lift has it):
+    recomputing <w, w> from a large-norm lift cancels catastrophically once
+    distances pass ~35.
+    """
+    j = np.ones(lifts.shape[1])
+    j[-1] = -1.0
+    inner = (lifts * j) @ np.conj(others).T
+    nl = _form_norms(lifts) if lift_norm is None else np.full(len(lifts), lift_norm)
+    no = _form_norms(others) if others_norm is None else np.full(len(others), others_norm)
+    ratio = np.abs(inner) ** 2 / (nl[:, None] * no[None, :])
+    return 2.0 * np.arccosh(np.sqrt(np.maximum(ratio, 1.0)))
 
 
 def bergman_distance(p, q):

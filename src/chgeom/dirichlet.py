@@ -130,29 +130,6 @@ def _chord_lifts(directions, s):
     return lifts
 
 
-def _distances_to_orbit(lifts, orbit_lifts, orbit_norm=None, lift_norm=None):
-    """Bergman distances between row batches of interior lifts.
-
-    When orbit_lifts are isometry images of one point, pass its form norm
-    as orbit_norm, and pass lift_norm when every lift has a known norm;
-    recomputing <w, w> from a large-norm lift cancels catastrophically.
-    """
-    j = np.ones(lifts.shape[1])
-    j[-1] = -1.0
-    inner = (lifts * j) @ np.conj(orbit_lifts).T
-    if lift_norm is None:
-        nl = np.sum((lifts * j) * np.conj(lifts), axis=1).real
-    else:
-        nl = np.full(lifts.shape[0], lift_norm)
-    if orbit_norm is None:
-        no = np.sum((orbit_lifts * j) * np.conj(orbit_lifts), axis=1).real
-    else:
-        no = np.full(orbit_lifts.shape[0], orbit_norm)
-    ratio = np.abs(inner) ** 2 / (nl[:, None] * no[None, :])
-    ratio = np.maximum(ratio, 1.0)
-    return 2.0 * np.arccosh(np.sqrt(ratio))
-
-
 def _census_orbit(gens, enum_radius, budget):
     """Words and matrices of the nontrivial elements of the word ball."""
     levels, completed = gr.element_ball(gens, enum_radius, budget=budget)
@@ -219,7 +196,7 @@ def _first_exit_census(
     drops out once its distance to the center passes the horizon or its
     parameter reaches t_max(horizon).
     """
-    base_d = _distances_to_orbit(base_lift[None, :], orbit_lifts, norm)[0]
+    base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
     if np.min(base_d) <= 1e-10:
         k = int(np.argmin(base_d))
         raise DegenerateCenterError(
@@ -257,7 +234,7 @@ def _first_exit_census(
             b[hit] = mid[hit]
             a[~hit] = mid[~hit]
         witness, _ = path(d_sub, 0.5 * (a + b))
-        dist = _distances_to_orbit(witness, orbit_lifts, norm, path_norm)
+        dist = core._bergman_distances(witness, orbit_lifts, norm, path_norm)
         best = np.argmin(dist, axis=1)
         second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
                   else np.inf)
@@ -431,7 +408,7 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     def path(sub_dirs, t):
         xi, v = _slice_coords(model, np.asarray(t)[..., None] * sub_dirs, n)
         lifts = hb._horo_lifts(xi, v, u0)
-        return lifts, _distances_to_orbit(lifts, ylift[None, :], ynorm)[:, 0]
+        return lifts, core._bergman_distances(lifts, ylift[None, :], ynorm)[:, 0]
 
     # slice paths are not unit-speed geodesics; march the slice coordinate
     # until the ambient distance to the center clears the horizon

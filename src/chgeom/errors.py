@@ -133,7 +133,8 @@ class BudgetExceededError(GeometryError):
 
     Attributes:
         completed_radius: last fully enumerated word length.
-        partial: records produced before the budget was hit.
+        partial: from orbit_enumerate and word_metric_profile, the
+            groups.Orbit of the levels up to completed_radius; else None.
     """
 
     exit_code = 5

@@ -3,7 +3,9 @@
 A group is given by labeled generators; inverse labels are the swapcase of
 the generator label, and labels listed as involutive are their own inverse.
 Word enumeration is breadth-first over reduced words with deterministic
-lexicographic ordering and is vectorized over stacked matrices.
+lexicographic ordering and is vectorized over stacked matrices.  An orbit
+is one columnar `Orbit` (words, word lengths, a lift stack, distances to
+the basepoint) in that order; nothing is built per point.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
@@ -14,7 +16,6 @@ Items with different keys are never compared.  All of this is float64, so
 far-out orbit points whose lifts agree to rounding merge though distinct.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,14 +93,25 @@ class GroupGens:
         return label if label in self.involutive else label.swapcase()
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One orbit point: the shortest word reaching it and its distance."""
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """Orbit points as columns; row i is one point.
 
-    word: str
-    point: core.ProjectivePoint
-    word_length: int
-    distance: float
+    words[i] is the first word reaching the point, word_lengths[i] its
+    length, lifts[i] a lift (the stack is validated as one batch) and
+    distances[i] the Bergman distance to the basepoint.
+    """
+
+    words: tuple
+    word_lengths: np.ndarray
+    lifts: np.ndarray
+    distances: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lifts", core._checked_lifts(self.lifts, ndim=2))
+
+    def __len__(self):
+        return len(self.words)
 
 
 class HeisCloud:
@@ -240,26 +252,14 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     return levels, max_len
 
 
-def _stack_distances(lifts, base):
-    # lifts are isometry images of base, so <w, w> = <base, base> exactly;
-    # recomputing it squares the lift norm and loses everything to rounding
-    # once distances pass ~35
-    j = np.ones(base.shape[0])
-    j[-1] = -1.0
-    inner = (lifts * j) @ np.conj(base)
-    bnorm = float(np.sum(j * base * np.conj(base)).real)
-    ratio = np.abs(inner) ** 2 / (bnorm * bnorm)
-    ratio = np.maximum(ratio, 1.0)
-    return 2.0 * np.arccosh(np.sqrt(ratio))
-
-
 def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     """Orbit of the basepoint under reduced words of length <= max_len.
 
     Points are deduplicated projectively, so each orbit point appears once,
     labeled by the first word (breadth-first, lexicographic) that reaches
-    it.  Raises BudgetExceededError carrying the completed radius and the
-    partial records when the enumeration budget runs out.
+    it.  Returns an Orbit in that order.  Raises BudgetExceededError
+    carrying the completed radius and the Orbit of the completed levels
+    when the enumeration budget runs out.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -267,23 +267,26 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
         raise DegenerateInputError("basepoint must be an interior point")
 
     levels, completed = element_ball(gens, max_len, budget=budget)
+    base = basepoint.lift
+    norm = float(core.herm_inner(base, base).real)
     seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL)
-    records = []
-    for length, (words, stack) in enumerate(levels[: completed + 1]):
-        lifts = stack @ basepoint.lift
-        dists = _stack_distances(lifts, basepoint.lift)
+    columns = []  # per level: kept words, lifts and distances
+    for words, stack in levels[: completed + 1]:
+        lifts = stack @ base
+        # the lifts are images of the basepoint, so every norm is its norm
+        dists = core._bergman_distances(lifts, base[None, :], norm, norm)[:, 0]
         keep, kept = seen.keep(_canonical_rows(lifts), lifts)
-        points = core.ProjectivePoint.from_rows(kept)
-        for i, point, dist in zip(keep.tolist(), points, dists[keep].tolist()):
-            records.append(OrbitRecord(word=words[i], point=point,
-                                       word_length=length, distance=dist))
+        columns.append((np.asarray(words, dtype=object)[keep], kept, dists[keep]))
+    words, lifts, dists = (np.concatenate(c) for c in zip(*columns))
+    lengths = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
+    orbit = Orbit(tuple(words), lengths, lifts, dists)
     if completed < max_len:
         raise BudgetExceededError(
             f"enumeration budget exhausted at radius {completed}",
             completed_radius=completed,
-            partial=records,
+            partial=orbit,
         )
-    return records
+    return orbit
 
 
 def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
@@ -292,13 +295,12 @@ def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
         origin = np.zeros(gens.dim, dtype=complex)
         origin[-1] = 1.0
         basepoint = core.ProjectivePoint(origin)
-    records = orbit_enumerate(gens, max_len, basepoint, budget=budget)
-    rows = []
-    # records come level by level, in increasing word length
-    for length, level in itertools.groupby(records, key=lambda r: r.word_length):
-        dists = [r.distance for r in level]
-        rows.append((length, min(dists), max(dists)))
-    return rows
+    orbit = orbit_enumerate(gens, max_len, basepoint, budget=budget)
+    # the orbit comes level by level, in increasing word length
+    lengths, starts = np.unique(orbit.word_lengths, return_index=True)
+    return list(zip(lengths.tolist(),
+                    np.minimum.reduceat(orbit.distances, starts).tolist(),
+                    np.maximum.reduceat(orbit.distances, starts).tolist()))
 
 
 @dataclass(frozen=True)
@@ -456,17 +458,6 @@ def identity_word_probe(gens, max_len=8, tol=1e-6, budget=DEFAULT_BUDGET):
     return bool(min_gap > tol), float(min_gap)
 
 
-def _boundary_from_lifts(lifts, tol=1e-9):
-    """Heisenberg coordinates of finite boundary lifts; drops points at infinity."""
-    c = lifts[:, -2] + lifts[:, -1]
-    scale = np.max(np.abs(lifts), axis=1)
-    finite = np.abs(c) > tol * scale
-    w = lifts[finite] / c[finite, None]
-    xi = w[:, :-2]
-    v = np.imag(w[:, -2] - w[:, -1])
-    return xi, v
-
-
 def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     """Boundary images of the seeds under all words of length == depth.
 
@@ -489,7 +480,7 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     v_parts = []
     for seed in seeds:
         lifts = stack @ seed.lift
-        xi, v = _boundary_from_lifts(lifts)
+        _, xi, v, _ = hb._lift_coords(lifts, 1e-9)
         xi_parts.append(xi)
         v_parts.append(v)
     return HeisCloud(np.concatenate(xi_parts), np.concatenate(v_parts))

@@ -309,20 +309,28 @@ def horo_to_projective(p):
     return core.ProjectivePoint(_horo_lifts(p.xi, p.v, p.u))
 
 
+def _lift_coords(lifts, tol):
+    """(finite, xi, v, u) of a (k, n+1) lift stack, u = -<z, z> at c = 1.
+
+    A row whose c = z_n + z_{n+1} is at most tol times its largest entry is
+    the point at infinity: finite is False there, and xi, v and u cover
+    the finite rows only.  A height within 1e-9 below 0 reads as 0.
+    """
+    k = lifts.shape[-1] - 2
+    c = lifts[:, k] + lifts[:, k + 1]
+    finite = np.abs(c) > tol * np.abs(lifts).max(axis=-1)
+    z = lifts[finite] / c[finite, None]
+    u = -core._form_norms(z)
+    u[(-1e-9 < u) & (u < 0.0)] = 0.0
+    return finite, z[:, :k], (z[:, k] - z[:, k + 1]).imag, u
+
+
 def projective_to_horo(p, tol=1e-12):
     """Horospherical coordinates of a projective point away from infinity."""
-    z = p.lift
-    k = z.shape[0] - 2
-    c = z[k] + z[k + 1]
-    if abs(c) <= tol * np.max(np.abs(z)):
+    finite, xi, v, u = _lift_coords(p.lift[None, :], tol)
+    if not finite[0]:
         raise PointAtInfinityError("the point at infinity has no horospherical coordinates")
-    z = z / c
-    xi = z[:k]
-    u = -float(np.real(core.herm_inner(z, z)))
-    v = float(np.imag(z[k] - z[k + 1]))
-    if -1e-9 < u < 0.0:
-        u = 0.0
-    return HoroPoint(xi, v, u)
+    return HoroPoint(xi[0], v[0], u[0])
 
 
 def dist_to_vertical_axis(p):

@@ -405,3 +405,14 @@ class TestBendSweep:
         report = bd.bend_sweep(hnn_spec(), [0.0, 0.1], limit_depth=3, probe_len=3)
         for row in report.rows:
             assert len(row.limit_points) == 4 * 3**2
+
+    def test_tracking_skips_only_the_point_at_infinity(self):
+        previous = boundary_point(1.0)
+        infinity = core.infinity_point(2)
+        near, far = boundary_point(1.5), boundary_point(-4.0)
+        assert bd._nearest_fixed_point([infinity, far, near], previous) is near
+        # any other failure of a candidate propagates: here a positive
+        # point, whose height u = -3 is no horospherical coordinate
+        outside = core.ProjectivePoint([2, 0, 1])
+        with pytest.raises(ValueError, match="height u"):
+            bd._nearest_fixed_point([infinity, outside, near], previous)

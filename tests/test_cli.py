@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import chgeom.cli as cli
+import chgeom.core as core
 import chgeom.errors as errors
+import chgeom.groups as gr
 import chgeom.heisenberg as hb
+import chgeom.presets as ps
 
 
 def run_cli(args):
@@ -80,6 +83,28 @@ def test_classify_nonisometric_matrix_exits_2_with_defect(tmp_path):
     assert info["type"] == "FormViolationError"
     assert info["defect"] > 0
     assert out == ""
+
+
+def test_classify_file_dimension_must_match_n(tmp_path):
+    # classify shares the resolver of the other commands, --n check included
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([matrix_as_pairs(np.eye(3))]))
+    rc, out, err = run_cli(["--command", "classify", "--preset", str(path),
+                            "--n", "3"])
+    assert rc == 2 and out == ""
+    assert "--n 3" in json.loads(err)["error"]["message"]
+    data = payload_of(["--command", "classify", "--preset", str(path), "--n", "2"])
+    assert data["results"][0]["class"] == "identity"
+
+
+def test_classify_takes_more_matrices_than_generator_labels(tmp_path):
+    path = tmp_path / "many.json"
+    mat = matrix_as_pairs(hb.embed_dilation(np.exp(0.5)).matrix)
+    path.write_text(json.dumps([mat] * 30))
+    data = payload_of(["--command", "classify", "--preset", str(path)])
+    assert [r["class"] for r in data["results"]] == ["loxodromic"] * 30
+    rc, _, err = run_cli(["--command", "orbit", "--preset", str(path)])
+    assert rc == 2 and "labeling" in json.loads(err)["error"]["message"]
 
 
 def test_classify_unparseable_file_exits_2(tmp_path):
@@ -185,6 +210,57 @@ def test_orbit_lattice_points():
         assert len(p["xi_re"]) == 1
 
 
+# --- per-point reference for the columnar orbit payload ------------------
+# The payload code that whole-column conversion replaced, kept verbatim with
+# the scalar horospherical map it called.
+
+
+def ref_projective_to_horo(p, tol=1e-12):
+    z = p.lift
+    k = z.shape[0] - 2
+    c = z[k] + z[k + 1]
+    if abs(c) <= tol * np.max(np.abs(z)):
+        raise errors.PointAtInfinityError("the point at infinity")
+    z = z / c
+    xi = z[:k]
+    u = -float(np.real(core.herm_inner(z, z)))
+    v = float(np.imag(z[k] - z[k + 1]))
+    if -1e-9 < u < 0.0:
+        u = 0.0
+    return hb.HoroPoint(xi, v, u)
+
+
+def ref_point_payload(point):
+    if point.projectively_equal(core.infinity_point(point.lift.shape[0] - 1)):
+        return {"at_infinity": True}
+    horo = ref_projective_to_horo(point)
+    return {
+        "at_infinity": False,
+        "xi_re": [float(x) for x in horo.xi.real],
+        "xi_im": [float(x) for x in horo.xi.imag],
+        "v": float(horo.v),
+        "u": float(horo.u),
+    }
+
+
+@pytest.mark.parametrize("preset,depth", [("z2-lattice", 3), ("fuchsian", 8),
+                                          ("schottky", 7)])
+def test_orbit_payload_matches_per_point_reference(preset, depth):
+    points = payload_of(["--command", "orbit", "--preset", preset,
+                         "--depth", str(depth)])["points"]
+    orbit = gr.orbit_enumerate(ps.group_preset(preset), depth, cli._ball_origin(3))
+    assert len(points) == len(orbit)
+    for got, word, length, lift, dist in zip(points, orbit.words, orbit.word_lengths,
+                                             orbit.lifts, orbit.distances):
+        want = ref_point_payload(core.ProjectivePoint(lift))
+        want.update(word=word, word_length=int(length), distance=float(dist))
+        # the stacked form norm may round u differently, where u is noise
+        u, ref_u = got.pop("u"), want.pop("u")
+        assert abs(u - ref_u) <= 1e-12 * (1 + sum(x * x for x in got["xi_re"]
+                                                  + got["xi_im"]))
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def test_limitset_fuchsian_real_circle():
     data = payload_of(["--command", "limitset", "--preset", "fuchsian",
                        "--depth", "5", "--radius", "3"])
@@ -278,24 +354,30 @@ def test_json_determinism_same_seed():
 
 
 def test_dirichlet_output_independent_of_blas_threads():
-    # the census march multiplies prefix slices of the orbit; OpenBLAS may
-    # split such products across threads
+    # the census march multiplies prefix slices of the orbit, and orbit and
+    # profile take their distances from the same Bergman kernel; OpenBLAS
+    # may split such products across threads
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, chgeom.cli as cli; sys.exit(cli.main(['--command', "
-            "'dirichlet', '--preset', 'z2-lattice', '--radius', '6', "
-            "'--rays', '2000']))")
-    outputs = []
-    for threads in ("1", None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True)
-        outputs.append(b"".join(ln for ln in proc.stdout.splitlines(True)
-                                if b'"timestamp"' not in ln))
-    assert outputs[0] == outputs[1]
+    for args in (
+        ["dirichlet", "--preset", "z2-lattice", "--radius", "6", "--rays", "2000"],
+        ["orbit", "--preset", "schottky", "--depth", "7"],
+        ["profile", "--preset", "schottky", "--depth", "10"],
+    ):
+        code = ("import sys, chgeom.cli as cli; "
+                f"sys.exit(cli.main({['--command'] + args!r}))")
+        outputs = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")]))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True)
+            outputs.append(b"".join(ln for ln in proc.stdout.splitlines(True)
+                                    if b'"timestamp"' not in ln))
+        assert outputs[0] == outputs[1], args[0]
 
 
 def test_orbit_determinism_same_seed():

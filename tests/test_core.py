@@ -72,11 +72,12 @@ def test_lift_validation_single_and_stack():
     buf = np.array([0, 9, 0, 9, 1, 9], dtype=complex)
     point = core.ProjectivePoint(buf[::2])
     assert point.projectively_equal(core.ProjectivePoint([0, 0, 1]))
-    points = core.ProjectivePoint.from_rows(np.eye(3, dtype=complex))
-    assert [p.lift.tolist() for p in points] == np.eye(3).tolist()
+    # a (k, n+1) stack is validated as one batch, as orbit lifts are
+    lifts = core._checked_lifts(np.eye(3), ndim=2)
+    assert lifts.dtype == complex and lifts.tolist() == np.eye(3).tolist()
     for bad in ([[0, 0, 0], [0, 0, 1]], [[np.nan, 0, 1]], [[1], [2]], [0, 0, 1]):
         with pytest.raises(InvalidPointError):
-            core.ProjectivePoint.from_rows(np.array(bad, dtype=complex))
+            core._checked_lifts(np.array(bad, dtype=complex), ndim=2)
     with pytest.raises(InvalidPointError):
         core.ProjectivePoint([np.inf, 0, 1])
 

@@ -258,7 +258,7 @@ def ref_dirichlet_side_census(
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
-    base_d = dm._distances_to_orbit(origin[None, :], orbit_lifts, cnorm)[0]
+    base_d = core._bergman_distances(origin[None, :], orbit_lifts, cnorm)[0]
     if np.min(base_d) <= 1e-10:
         k = int(np.argmin(base_d))
         raise DegenerateCenterError(
@@ -277,7 +277,7 @@ def ref_dirichlet_side_census(
     while active.size and s < horizon:
         s_next = min(s + dm.STEP, horizon)
         pts = ref_chord_lifts(dirs[active], s_next)
-        dmin = np.min(dm._distances_to_orbit(pts, orbit_lifts, cnorm), axis=1)
+        dmin = np.min(core._bergman_distances(pts, orbit_lifts, cnorm), axis=1)
         beaten = dmin < s_next
         hi[active[beaten]] = s_next
         lo[active[~beaten]] = s_next
@@ -296,12 +296,12 @@ def ref_dirichlet_side_census(
         while np.max(b - a) > dm.BISECTION_TOL:
             mid = 0.5 * (a + b)
             pts = ref_chord_lifts(d_sub, mid)
-            dmin = np.min(dm._distances_to_orbit(pts, orbit_lifts, cnorm), axis=1)
+            dmin = np.min(core._bergman_distances(pts, orbit_lifts, cnorm), axis=1)
             beaten = dmin < mid
             b[beaten] = mid[beaten]
             a[~beaten] = mid[~beaten]
         witness = ref_chord_lifts(d_sub, 0.5 * (a + b))
-        dist = dm._distances_to_orbit(witness, orbit_lifts, cnorm)
+        dist = core._bergman_distances(witness, orbit_lifts, cnorm)
         order = np.argsort(dist, axis=1)
         for r in range(idx.size):
             best = order[r, 0]
@@ -347,7 +347,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     ylift = ref_horo_to_projective(center).lift
     orbit_lifts = np.array([m @ ylift for m in mats])
     ynorm = float(core.herm_inner(ylift, ylift).real)
-    base_d = dm._distances_to_orbit(ylift[None, :], orbit_lifts, ynorm)[0]
+    base_d = core._bergman_distances(ylift[None, :], orbit_lifts, ynorm)[0]
     if np.min(base_d) <= 1e-10:
         k = int(np.argmin(base_d))
         raise DegenerateCenterError(
@@ -373,7 +373,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         return np.array(pts)
 
     def center_dist(lifts):
-        return dm._distances_to_orbit(lifts, ylift[None, :], ynorm)[:, 0]
+        return core._bergman_distances(lifts, ylift[None, :], ynorm)[:, 0]
 
     lo = np.zeros(nrays)
     hi = np.full(nrays, np.nan)
@@ -384,7 +384,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     while active.size and t < horizon * 3.0 + 10.0:
         t_next = t + dm.STEP
         pts = slice_lifts(dirs[active], t_next)
-        dmin = np.min(dm._distances_to_orbit(pts, orbit_lifts, ynorm), axis=1)
+        dmin = np.min(core._bergman_distances(pts, orbit_lifts, ynorm), axis=1)
         d0 = center_dist(pts)
         beaten = dmin < d0
         hi[active[beaten]] = t_next
@@ -403,12 +403,12 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         while np.max(b - a) > dm.BISECTION_TOL:
             mid = 0.5 * (a + b)
             pts = slice_lifts(d_sub, mid)
-            dmin = np.min(dm._distances_to_orbit(pts, orbit_lifts, ynorm), axis=1)
+            dmin = np.min(core._bergman_distances(pts, orbit_lifts, ynorm), axis=1)
             beaten = dmin < center_dist(pts)
             b[beaten] = mid[beaten]
             a[~beaten] = mid[~beaten]
         witness = slice_lifts(d_sub, 0.5 * (a + b))
-        dist = dm._distances_to_orbit(witness, orbit_lifts, ynorm)
+        dist = core._bergman_distances(witness, orbit_lifts, ynorm)
         order = np.argsort(dist, axis=1)
         for r in range(idx.size):
             best = order[r, 0]
@@ -546,7 +546,7 @@ def test_chord_lifts_stay_timelike_far_out():
     assert np.all(np.abs(norm + 1.0) <= 1e-12 * scale)
     # with the known norm the census measures s back to the center
     origin = cli._ball_origin(3).lift
-    d = dm._distances_to_orbit(lifts, origin[None, :], -1.0, -1.0)[:, 0]
+    d = core._bergman_distances(lifts, origin[None, :], -1.0, -1.0)[:, 0]
     assert np.all(np.isfinite(d))
     assert np.allclose(d, 40.0, rtol=1e-12, atol=0)
 
@@ -570,7 +570,7 @@ def ref_first_exit_census(
     words, base_lift, orbit_lifts, norm, path, dirs, t_max, margin, enum_radius,
     path_norm=None,
 ):
-    base_d = dm._distances_to_orbit(base_lift[None, :], orbit_lifts, norm)[0]
+    base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
     if np.min(base_d) <= 1e-10:
         k = int(np.argmin(base_d))
         raise DegenerateCenterError(
@@ -581,7 +581,7 @@ def ref_first_exit_census(
 
     def beaten_at(sub_dirs, t):
         lifts, d_center = path(sub_dirs, t)
-        dist = dm._distances_to_orbit(lifts, orbit_lifts, norm, path_norm)
+        dist = core._bergman_distances(lifts, orbit_lifts, norm, path_norm)
         dmin = np.min(dist, axis=1)
         return dmin < d_center, d_center
 
@@ -611,7 +611,7 @@ def ref_first_exit_census(
             b[beaten] = mid[beaten]
             a[~beaten] = mid[~beaten]
         witness, _ = path(d_sub, 0.5 * (a + b))
-        dist = dm._distances_to_orbit(witness, orbit_lifts, norm, path_norm)
+        dist = core._bergman_distances(witness, orbit_lifts, norm, path_norm)
         order = np.argsort(dist, axis=1)
         for r in range(idx.size):
             best = order[r, 0]
@@ -702,7 +702,7 @@ def _ball_orbit(preset, radius, center):
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
     norm = float(core.herm_inner(center.lift, center.lift).real)
     origin = cli._ball_origin(gens.dim).lift
-    base_d = dm._distances_to_orbit(origin[None, :], orbit, norm)[0]
+    base_d = core._bergman_distances(origin[None, :], orbit, norm)[0]
     return origin, orbit, norm, base_d
 
 

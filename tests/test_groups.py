@@ -12,6 +12,7 @@ from chgeom.errors import (
     DegenerateInputError,
     DimensionError,
     InvalidPackingError,
+    InvalidPointError,
     PoleError,
 )
 
@@ -117,23 +118,35 @@ class TestOrbitEnumerate:
             gr.orbit_enumerate(cyclic_vertical(), 2, base)
 
     def test_schottky_reduced_word_count(self):
-        records = gr.orbit_enumerate(schottky_pair(), 6, ball_origin())
-        assert len(records) == 1 + sum(4 * 3 ** (k - 1) for k in range(1, 7))
+        orbit = gr.orbit_enumerate(schottky_pair(), 6, ball_origin())
+        assert len(orbit) == 1 + sum(4 * 3 ** (k - 1) for k in range(1, 7))
+        assert orbit.lifts.shape == (len(orbit), 3)
+        assert len(orbit.word_lengths) == len(orbit.distances) == len(orbit)
 
     def test_budget_error_carries_partial(self):
         with pytest.raises(BudgetExceededError) as err:
             gr.orbit_enumerate(schottky_pair(), 8, ball_origin(), budget=100)
         assert err.value.completed_radius < 8
+        assert isinstance(err.value.partial, gr.Orbit)
         assert len(err.value.partial) > 0
+        assert max(err.value.partial.word_lengths) == err.value.completed_radius
 
     def test_record_fields(self):
-        records = gr.orbit_enumerate(cyclic_vertical(), 2, ball_origin())
-        by_word = {r.word: r for r in records}
-        assert by_word[""].distance == 0.0
-        assert by_word["aa"].word_length == 2
+        orbit = gr.orbit_enumerate(cyclic_vertical(), 2, ball_origin())
+        row = {w: i for i, w in enumerate(orbit.words)}
+        assert orbit.distances[row[""]] == 0.0
+        assert orbit.word_lengths[row["aa"]] == 2
         # vertical translation by 2: cosh^2(d/2) = 1 + 1/1 with u = u' = 1
         expect = 2 * np.arccosh(np.sqrt(2.0))
-        assert np.isclose(by_word["aa"].distance, expect, atol=1e-10)
+        assert np.isclose(orbit.distances[row["aa"]], expect, atol=1e-10)
+        assert core.ProjectivePoint(orbit.lifts[row["aa"]]).projectively_equal(
+            hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 2.0, 1.0)))
+
+    def test_orbit_validates_its_lift_stack(self):
+        for bad in ([[0, 0, 1], [0, 0, 0]], [[np.inf, 0, 1], [0, 0, 1]]):
+            with pytest.raises(InvalidPointError):
+                gr.Orbit(("", "a"), np.array([0, 1]), np.array(bad, dtype=complex),
+                         np.zeros(2))
 
 
 class TestWordMetricProfile:
@@ -215,8 +228,22 @@ class TestPacking:
 
 # --- sequential reference for the batched dedup -------------------------
 # The per-record dedup that _FirstKept replaced, kept verbatim with the
-# scalar gap and lift equality it called.  The batched kernel must make the
+# scalar gap and lift equality it called, and the orbit distance formula
+# that the shared Bergman kernel replaced.  The batched code must make the
 # same decisions, in the same order, with bit-identical arithmetic.
+
+
+def ref_stack_distances(lifts, base):
+    # lifts are isometry images of base, so <w, w> = <base, base> exactly;
+    # recomputing it squares the lift norm and loses everything to rounding
+    # once distances pass ~35
+    j = np.ones(base.shape[0])
+    j[-1] = -1.0
+    inner = (lifts * j) @ np.conj(base)
+    bnorm = float(np.sum(j * base * np.conj(base)).real)
+    ratio = np.abs(inner) ** 2 / (bnorm * bnorm)
+    ratio = np.maximum(ratio, 1.0)
+    return 2.0 * np.arccosh(np.sqrt(ratio))
 
 
 def ref_matrix_gap(a, b):
@@ -315,7 +342,7 @@ def ref_orbit(gens, max_len, basepoint, budget=gr.DEFAULT_BUDGET):
         if length > completed:
             break
         lifts = stack @ basepoint.lift
-        dists = gr._stack_distances(lifts, basepoint.lift)
+        dists = ref_stack_distances(lifts, basepoint.lift)
         keys = gr._canonical_rows(lifts)
         for i, w in enumerate(words):
             key = keys[i].tobytes()
@@ -335,8 +362,10 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def as_tuples(records):
-    return [(r.word, r.point.lift, r.word_length, r.distance) for r in records]
+def as_tuples(orbit):
+    assert isinstance(orbit, gr.Orbit)
+    return list(zip(orbit.words, orbit.lifts, orbit.word_lengths.tolist(),
+                    orbit.distances.tolist()))
 
 
 def assert_same_records(got, want):
@@ -363,9 +392,9 @@ class TestDedupMatchesSequentialReference:
         assert [w for w, _ in levels] == [w for w, _ in ref_levels]
         for (_, m), (_, ref_m) in zip(levels, ref_levels):
             assert same_bits(m, ref_m)
-        records = gr.orbit_enumerate(gens, depth, ball_origin())
+        orbit = gr.orbit_enumerate(gens, depth, ball_origin())
         ref_records, _ = ref_orbit(gens, depth, ball_origin())
-        assert_same_records(as_tuples(records), ref_records)
+        assert_same_records(as_tuples(orbit), ref_records)
         rows = gr.word_metric_profile(gens, depth, ball_origin())
         ref_rows = []
         for length in range(depth + 1):
@@ -380,8 +409,8 @@ class TestDedupMatchesSequentialReference:
             gens = ps.group_preset(name)
             levels, _ = gr.element_ball(gens, depth)
             free, _ = gr.element_ball(gens, depth, dedup=False)
-            records = gr.orbit_enumerate(gens, depth, ball_origin())
-            sizes[name] = (total_words(free), total_words(levels), len(records))
+            orbit = gr.orbit_enumerate(gens, depth, ball_origin())
+            sizes[name] = (total_words(free), total_words(levels), len(orbit))
         assert sizes["z2-lattice"] == (1 + 4 * (3 ** 5 - 1) // 2, 61, 61)
         free, elements, points = sizes["fuchsian"]
         assert free > elements > points

@@ -66,7 +66,8 @@ def _parse_args(argv):
     p.add_argument("--preset",
                    help="preset name, or path to a JSON generator file")
     p.add_argument("--n", type=int, default=None,
-                   help="complex dimension of the ball (default 2)")
+                   help="complex dimension of the ball; when given, the "
+                        "preset or generator file must have it")
     p.add_argument("--radius", type=float, default=None,
                    help="enumeration radius (dirichlet) or sample window "
                         "radius (limitset)")
@@ -145,24 +146,29 @@ def _gens_from_isometries(isos):
     return gr.GroupGens(tuple(zip(_LABELS, isos)), involutive=involutive)
 
 
+def _check_n(args, n, source):
+    """Reject a --n that differs from the dimension n of the input."""
+    if args.n is not None and args.n != n:
+        raise _InputError(f"{source} has n = {n}, which does not match "
+                          f"--n {args.n}")
+
+
 def _resolve_group(args, allowed_presets, labeled=True):
     """The preset named by --preset, or the matrices of that generator file.
 
-    A file's matrices must have size n+1 when --n is given.  labeled=False
-    returns the isometries alone, which need no labels, so any number of
-    them is accepted.
+    Either must have dimension n when --n is given.  labeled=False returns
+    the isometries alone, which need no labels, so any number of them is
+    accepted.
     """
     if not args.preset:
         raise _InputError("--preset is required for this command")
     if args.preset in allowed_presets:
         gens = ps.group_preset(args.preset)
+        _check_n(args, gens.dim - 1, f"preset {args.preset}")
         return gens if labeled else list(gens.isometries)
     if os.path.exists(args.preset):
         isos = [core.Isometry(m) for m in _load_generator_file(args.preset)]
-        if args.n is not None and isos[0].n != args.n:
-            raise _InputError(
-                f"generator file dimension {isos[0].n + 1} does not match "
-                f"--n {args.n}")
+        _check_n(args, isos[0].n, "generator file")
         return _gens_from_isometries(isos) if labeled else isos
     raise _InputError(
         f"unknown preset {args.preset!r} (expected one of "
@@ -253,6 +259,7 @@ def _cmd_bend(args, tol):
             f"unknown bend preset {preset!r} (expected one of "
             f"{', '.join(ps.BEND_PRESETS)})")
     spec = ps.bend_preset(preset)
+    _check_n(args, spec.g_alpha.n, f"preset {preset}")
     grid = _parse_eta_grid(args.eta_grid)
     depth = args.depth if args.depth is not None else 5
     report = bd.bend_sweep(
@@ -336,12 +343,12 @@ def _cmd_packing(args, tol):
             f"unknown packing preset {preset!r} (expected one of "
             f"{', '.join(ps.PACKING_PRESETS)})")
     packing = ps.packing_preset(preset)
+    _check_n(args, packing.spheres[0][0].n, f"preset {preset}")
     gens, cert = gr.packing_inversion_group(packing)
     return {
         "meta": _meta(args),
         "labels": list(gens.labels),
         "pairs_checked": int(cert.pairs_checked),
-        "samples_per_ball": int(cert.samples_per_ball),
         "min_margin": float(cert.min_margin),
         "passed": bool(cert.min_margin > 0),
     }

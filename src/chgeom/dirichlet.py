@@ -107,11 +107,38 @@ def _ball_frame(center):
     return core.Isometry(q)
 
 
+def _halton(count, dim, seed=None):
+    """First `count` points of the Halton sequence in [0, 1)^dim.
+
+    Coordinate j is the radical inverse of the index in the j-th prime base
+    (Halton 1960).  A seed scrambles each digit position by a random
+    permutation (Owen, arXiv:1706.02808), drawn as scipy.stats.qmc.Halton
+    draws them, so the points match Halton(dim, seed=seed) bit for bit.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
+    bases = [p for p in range(2, max(dim, 2) ** 2)
+             if all(p % q for q in range(2, math.isqrt(p) + 1))][:dim]
+    out = np.zeros((count, dim))
+    for j, base in enumerate(bases):
+        # one permutation per digit position down to float64 resolution
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        if rng is not None:
+            for perm in perms:
+                rng.shuffle(perm)
+        q = np.arange(count)
+        scale = 1.0 / base
+        for perm in perms:
+            out[:, j] += perm[q % base] * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def _ray_directions(count, real_dim, seed=0):
     """Quasi-uniform unit directions via Gaussianized low-discrepancy points."""
     from scipy.special import erfinv
 
-    u = gr._halton(count, real_dim, seed=seed)
+    u = _halton(count, real_dim, seed=seed)
     g = erfinv(np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12)) * np.sqrt(2.0)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
@@ -132,12 +159,7 @@ def _chord_lifts(directions, s):
 
 def _census_orbit(gens, enum_radius, budget):
     """Words and matrices of the nontrivial elements of the word ball."""
-    levels, completed = gr.element_ball(gens, enum_radius, budget=budget)
-    if completed < enum_radius:
-        raise gr.BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
+    levels = gr._complete_ball(gens, enum_radius, budget)
     words = [w for ws, _ in levels[1:] for w in ws]
     if not words:
         raise DegenerateInputError("no nontrivial elements to census")

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 Every error that carries numerical evidence (a form defect, an eigenvalue
-list, a failing pair) stores it on the exception instance so callers and
-the CLI can report it without reparsing messages.  Each class also names
+list, a completed radius) stores it on the exception instance so callers
+and the CLI can report it without reparsing messages.  Each class also names
 the CLI exit code it maps to: 2 input, 3 degenerate geometry, 4
 constraint violation, 5 resource budget.
 """
@@ -93,23 +93,6 @@ class InvalidPackingError(GeometryError):
     exit_code = 4
 
 
-class CertificateError(GeometryError):
-    """A sampled discreteness certificate failed.
-
-    Attributes:
-        pair: the (i, j) index pair that failed, when applicable.
-    """
-
-    exit_code = 4
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
-
-    def json_fields(self):
-        return {} if self.pair is None else {"pair": list(self.pair)}
-
-
 class DegenerateCenterError(GeometryError):
     """A Dirichlet center fixed by a nontrivial group element."""
 
@@ -132,17 +115,15 @@ class BudgetExceededError(GeometryError):
     """An enumeration exceeded its memory or size budget.
 
     Attributes:
-        completed_radius: last fully enumerated word length.
-        partial: from orbit_enumerate and word_metric_profile, the
-            groups.Orbit of the levels up to completed_radius; else None.
+        completed_radius: last fully enumerated word length.  Rerunning
+            with max_len = completed_radius gives the result up to there.
     """
 
     exit_code = 5
 
-    def __init__(self, message, completed_radius=None, partial=None):
+    def __init__(self, message, completed_radius=None):
         super().__init__(message)
         self.completed_radius = completed_radius
-        self.partial = partial
 
     def json_fields(self):
         return {"completed_radius": self.completed_radius}

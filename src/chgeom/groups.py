@@ -16,7 +16,6 @@ Items with different keys are never compared.  All of this is float64, so
 far-out orbit points whose lifts agree to rounding merge though distinct.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from . import core
 from . import heisenberg as hb
 from .errors import (
     BudgetExceededError,
-    CertificateError,
     DegenerateInputError,
     DimensionError,
     InvalidPackingError,
@@ -252,26 +250,41 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     return levels, max_len
 
 
+def _complete_ball(gens, max_len, budget, dedup=True):
+    """The levels of element_ball up to max_len.
+
+    Raises BudgetExceededError, with the completed radius, when the budget
+    runs out first.
+    """
+    levels, completed = element_ball(gens, max_len, budget=budget, dedup=dedup)
+    if completed < max_len:
+        raise BudgetExceededError(
+            f"enumeration budget exhausted at radius {completed}",
+            completed_radius=completed,
+        )
+    return levels
+
+
 def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     """Orbit of the basepoint under reduced words of length <= max_len.
 
     Points are deduplicated projectively, so each orbit point appears once,
     labeled by the first word (breadth-first, lexicographic) that reaches
     it.  Returns an Orbit in that order.  Raises BudgetExceededError
-    carrying the completed radius and the Orbit of the completed levels
-    when the enumeration budget runs out.
+    carrying the completed radius, before any orbit point is computed, when
+    the enumeration budget runs out.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if core.point_class(basepoint) != "negative":
         raise DegenerateInputError("basepoint must be an interior point")
 
-    levels, completed = element_ball(gens, max_len, budget=budget)
+    levels = _complete_ball(gens, max_len, budget)
     base = basepoint.lift
     norm = float(core.herm_inner(base, base).real)
     seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL)
     columns = []  # per level: kept words, lifts and distances
-    for words, stack in levels[: completed + 1]:
+    for words, stack in levels:
         lifts = stack @ base
         # the lifts are images of the basepoint, so every norm is its norm
         dists = core._bergman_distances(lifts, base[None, :], norm, norm)[:, 0]
@@ -279,14 +292,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
         columns.append((np.asarray(words, dtype=object)[keep], kept, dists[keep]))
     words, lifts, dists = (np.concatenate(c) for c in zip(*columns))
     lengths = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
-    orbit = Orbit(tuple(words), lengths, lifts, dists)
-    if completed < max_len:
-        raise BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-            partial=orbit,
-        )
-    return orbit
+    return Orbit(tuple(words), lengths, lifts, dists)
 
 
 def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
@@ -323,10 +329,15 @@ class SpherePacking:
 
 @dataclass(frozen=True)
 class PingPongCertificate:
-    """Sampled evidence that the sphere inversions play ping-pong."""
+    """Ping-pong bound for the inversions of a disjoint sphere packing.
+
+    pairs_checked counts the ordered pairs (i, j), i != j, of balls, and
+    min_margin is the least lower bound, over those pairs, on r_i minus the
+    Cygan distance from c_i to the image of ball j under inversion i.  It
+    is inf for a single ball.
+    """
 
     pairs_checked: int
-    samples_per_ball: int
     min_margin: float
 
 
@@ -338,61 +349,28 @@ def sphere_inversion(center, radius):
     return t @ d @ i0 @ d.inverse() @ t.inverse()
 
 
-def _halton(count, dim, seed=None):
-    """First `count` points of the Halton sequence in [0, 1)^dim.
+def packing_inversion_group(packing):
+    """Inversion generators for a sphere packing, with a ping-pong certificate.
 
-    Coordinate j is the radical inverse of the index in the j-th prime base
-    (Halton 1960).  A seed scrambles each digit position by a random
-    permutation (Owen, arXiv:1706.02808), drawn as scipy.stats.qmc.Halton
-    draws them, so the points match Halton(dim, seed=seed) bit for bit.
-    """
-    rng = None if seed is None else np.random.default_rng(seed)
-    bases = [p for p in range(2, max(dim, 2) ** 2)
-             if all(p % q for q in range(2, math.isqrt(p) + 1))][:dim]
-    out = np.zeros((count, dim))
-    for j, base in enumerate(bases):
-        # one permutation per digit position down to float64 resolution
-        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
-        if rng is not None:
-            for perm in perms:
-                rng.shuffle(perm)
-        q = np.arange(count)
-        scale = 1.0 / base
-        for perm in perms:
-            out[:, j] += perm[q % base] * scale
-            scale /= base
-            q //= base
-    return out
-
-
-def _unit_sphere_samples(count):
-    """Quasi-random points on the unit Cygan sphere of the n = 2 boundary."""
-    pts = _halton(count, 2)
-    v = 2.0 * pts[:, 0] - 1.0
-    phase = 2 * np.pi * pts[:, 1]
-    xi = (1.0 - v**2) ** 0.25 * np.exp(1j * phase)
-    return xi[:, None], v
-
-
-def packing_inversion_group(packing, samples=1000):
-    """Inversion generators for a sphere packing, with a sampled certificate.
-
-    One involutive generator per sphere; the certificate checks that each
-    inversion maps sample points of every other ball strictly inside its
-    own ball, which is the ping-pong evidence for discreteness and the
-    free-product structure.
+    One involutive generator per sphere.  The closed balls must be pairwise
+    disjoint.  Inversion in S(c, r) satisfies d(I(p), c) d(p, c) = r^2 for
+    the Cygan distance (Koranyi-Reimann 1985).  On ball j the triangle
+    inequality gives d(p, c_i) >= d(c_i, c_j) - r_j, so inversion i maps
+    all of ball j into ball i with a margin of at least
+    r_i - r_i^2 / (d(c_i, c_j) - r_j).  The certificate's min_margin is the
+    least such bound over ordered pairs.  It is positive for every disjoint
+    packing, and ping-pong then makes the group discrete and the free
+    product of the inversions.
     """
     spheres = packing.spheres
     if not spheres:
         raise InvalidPackingError("empty packing")
-    n = spheres[0][0].n
-    if n != 2:
-        # the samples cover the unit Cygan sphere of C x R only
-        raise DimensionError(f"ping-pong certificate needs n = 2, got n = {n}")
+    dist = {}
     for i in range(len(spheres)):
         for j in range(i + 1, len(spheres)):
             (ci, ri), (cj, rj) = spheres[i], spheres[j]
-            if hb.cygan_dist(ci, cj) <= ri + rj:
+            dist[i, j] = dist[j, i] = hb.cygan_dist(ci, cj)
+            if dist[i, j] <= ri + rj:
                 raise InvalidPackingError(
                     f"balls {i} and {j} are not disjoint"
                 )
@@ -404,39 +382,12 @@ def packing_inversion_group(packing, samples=1000):
         [(labels[i], sphere_inversion(c, r)) for i, (c, r) in enumerate(spheres)],
         involutive=labels[: len(spheres)],
     )
-
-    unit_xi, unit_v = _unit_sphere_samples(samples)
-    min_margin = np.inf
-    pairs = 0
-    for j, (cj, rj) in enumerate(spheres):
-        # boundary samples of ball j
-        batch = [
-            hb.heis_mul(cj, hb.heis_dilate(hb.HeisPoint(unit_xi[k], unit_v[k]), rj))
-            for k in range(samples)
-        ]
-        for i, (ci, ri) in enumerate(spheres):
-            if i == j:
-                continue
-            inv = gens.isometries[i]
-            pairs += 1
-            for p in batch:
-                lift = hb.horo_to_projective(p)
-                image = core.projective_apply(inv, lift)
-                q = hb.projective_to_horo(image).boundary()
-                margin = ri - hb.cygan_dist(q, ci)
-                if margin < min_margin:
-                    min_margin = margin
-                if margin <= 0:
-                    raise CertificateError(
-                        f"inversion {i} failed to capture a sample of ball {j}",
-                        pair=(i, j),
-                    )
-    if len(spheres) == 1:
-        min_margin = np.inf
+    margins = [ri - ri**2 / (dist[i, j] - rj)
+               for i, (_, ri) in enumerate(spheres)
+               for j, (_, rj) in enumerate(spheres) if i != j]
     return gens, PingPongCertificate(
-        pairs_checked=pairs,
-        samples_per_ball=samples,
-        min_margin=float(min_margin),
+        pairs_checked=len(margins),
+        min_margin=float(min(margins, default=np.inf)),
     )
 
 
@@ -447,12 +398,7 @@ def identity_word_probe(gens, max_len=8, tol=1e-6, budget=DEFAULT_BUDGET):
     over all reduced words of length <= max_len, without element dedup, and
     whether it stays above tol.
     """
-    levels, completed = element_ball(gens, max_len, budget=budget, dedup=False)
-    if completed < max_len:
-        raise BudgetExceededError(
-            f"probe budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
+    levels = _complete_ball(gens, max_len, budget, dedup=False)
     gaps = [core.identity_gap(stack) for _, stack in levels[1:]]
     min_gap = np.fmin.reduce(np.concatenate(gaps + [[np.inf]]))  # skips NaN
     return bool(min_gap > tol), float(min_gap)
@@ -467,12 +413,7 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    levels, completed = element_ball(gens, depth, budget=budget)
-    if completed < depth:
-        raise BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
+    levels = _complete_ball(gens, depth, budget)
     _, stack = levels[depth] if depth < len(levels) else ((), None)
     if stack is None or len(stack) == 0:
         raise DegenerateInputError("no reduced words at the requested depth")

@@ -363,8 +363,8 @@ def _criterion_8():
     failures = []
 
     _, cert = gr.packing_inversion_group(ps.packing_preset("two-sphere"))
-    if not cert.min_margin > 0:
-        failures.append(f"packing margin {cert.min_margin:.2e}")
+    if not abs(cert.min_margin - 0.8) <= 1e-15:
+        failures.append(f"packing margin {cert.min_margin!r}, expected 0.8")
 
     gens = ps.group_preset("fuchsian")
     seeds = ps.boundary_seeds(27)

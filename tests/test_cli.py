@@ -97,6 +97,21 @@ def test_classify_file_dimension_must_match_n(tmp_path):
     assert data["results"][0]["class"] == "identity"
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("classify", ["--preset", "schottky"]),
+    ("orbit", ["--preset", "schottky", "--depth", "2"]),
+    ("packing", ["--preset", "two-sphere"]),
+    ("bend", ["--preset", "hnn-bend", "--eta-grid", "0", "--depth", "2"]),
+])
+def test_n_checked_against_bundled_presets(command, extra):
+    args = ["--command", command] + extra
+    rc, out, err = run_cli(args + ["--n", "3"])
+    assert rc == 2 and out == ""
+    assert "--n 3" in json.loads(err)["error"]["message"]
+    rc, out, err = run_cli(args + ["--n", "2"])
+    assert rc == 0, err
+
+
 def test_classify_takes_more_matrices_than_generator_labels(tmp_path):
     path = tmp_path / "many.json"
     mat = matrix_as_pairs(hb.embed_dilation(np.exp(0.5)).matrix)
@@ -464,8 +479,6 @@ _ERROR_TABLE = [
     (errors.PoleError("m"), 3, {}),
     (errors.PointAtInfinityError("m"), 3, {}),
     (errors.BorderlineClassError("m", eigenvalues=[1.0]), 3, {}),
-    (errors.CertificateError("m", pair=(0, 1)), 4, {"pair": [0, 1]}),
-    (errors.CertificateError("m"), 4, {}),
     (errors.InvarianceError("m"), 4, {}),
     (errors.BranchBoundaryError("m"), 4, {}),
     (errors.InvalidPackingError("m"), 4, {}),
@@ -494,7 +507,7 @@ def test_error_exit_codes_and_json(monkeypatch, exc, code, fields):
 def test_every_geometry_error_has_an_exit_code():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.GeometryError)]
-    assert len(classes) == 15
+    assert len(classes) == 14
     for c in classes:
         assert "exit_code" in vars(c), c.__name__
         assert c.exit_code in (2, 3, 4, 5)

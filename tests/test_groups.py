@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from chgeom import bending as bd
 from chgeom import core
+from chgeom import dirichlet as dm
 from chgeom import groups as gr
 from chgeom import heisenberg as hb
 from chgeom import presets as ps
 from chgeom.errors import (
     BudgetExceededError,
     DegenerateInputError,
-    DimensionError,
     InvalidPackingError,
     InvalidPointError,
     PoleError,
@@ -76,7 +76,7 @@ class TestGroupGens:
         assert gens.inverse_label("a") == "A"
 
     def test_involutive_inverse_is_itself(self):
-        gens, _ = gr.packing_inversion_group(two_sphere_packing(), samples=50)
+        gens, _ = gr.packing_inversion_group(two_sphere_packing())
         assert gens.inverse_label("1") == "1"
         symbols = [s for s, _ in gens.alphabet()]
         assert symbols == ["1", "2"]
@@ -123,13 +123,16 @@ class TestOrbitEnumerate:
         assert orbit.lifts.shape == (len(orbit), 3)
         assert len(orbit.word_lengths) == len(orbit.distances) == len(orbit)
 
-    def test_budget_error_carries_partial(self):
-        with pytest.raises(BudgetExceededError) as err:
-            gr.orbit_enumerate(schottky_pair(), 8, ball_origin(), budget=100)
-        assert err.value.completed_radius < 8
-        assert isinstance(err.value.partial, gr.Orbit)
-        assert len(err.value.partial) > 0
-        assert max(err.value.partial.word_lengths) == err.value.completed_radius
+    def test_budget_error_stops_before_point_work(self, monkeypatch):
+        # 1 + 4 + 12 + 36 = 53 words fit in the budget, the 108 of length 4 not
+        def no_point_work(*args):
+            raise AssertionError("orbit points computed past the budget")
+
+        monkeypatch.setattr(core, "_bergman_distances", no_point_work)
+        for call in (gr.orbit_enumerate, gr.word_metric_profile):
+            with pytest.raises(BudgetExceededError) as err:
+                call(schottky_pair(), 8, ball_origin(), budget=100)
+            assert err.value.completed_radius == 3
 
     def test_record_fields(self):
         orbit = gr.orbit_enumerate(cyclic_vertical(), 2, ball_origin())
@@ -183,19 +186,43 @@ class TestPacking:
             gr.packing_inversion_group(packing)
 
     def test_two_sphere_certificate(self):
-        gens, cert = gr.packing_inversion_group(two_sphere_packing(), samples=1000)
+        packing = two_sphere_packing()
+        gens, cert = gr.packing_inversion_group(packing)
         assert cert.pairs_checked == 2
-        assert cert.min_margin > 0
-        assert np.isclose(cert.min_margin, 0.8001, atol=2e-3)
+        # 1 - 1 / (6 - 1): the points of one ball nearest the other center
+        assert abs(cert.min_margin - 0.8) <= 1e-15
+        sampled = ref_sampled_margin(packing, gens)
+        assert cert.min_margin <= sampled < cert.min_margin + 1e-3
+
+    def test_bound_never_exceeds_sampled_margin(self):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        while checked < 50:
+            count = int(rng.integers(2, 5))
+            # centers within Cygan norm about 5 of the origin, so that no
+            # image point is far enough out to round to a negative height
+            spheres = [(hb.HeisPoint(rng.uniform(-3, 3, 1) + 1j * rng.uniform(-3, 3, 1),
+                                     float(rng.uniform(-20, 20))),
+                        float(rng.uniform(0.2, 1.5)))
+                       for _ in range(count)]
+            try:
+                gens, cert = gr.packing_inversion_group(gr.SpherePacking(spheres))
+            except InvalidPackingError:
+                continue
+            checked += 1
+            assert cert.pairs_checked == count * (count - 1)
+            assert cert.min_margin > 0
+            sampled = ref_sampled_margin(gr.SpherePacking(spheres), gens, samples=64)
+            assert cert.min_margin <= sampled + 1e-12
 
     def test_generators_are_involutions(self):
-        gens, _ = gr.packing_inversion_group(two_sphere_packing(), samples=50)
+        gens, _ = gr.packing_inversion_group(two_sphere_packing())
         for iso in gens.isometries:
             assert core.is_projective_identity((iso @ iso).matrix, tol=1e-9)
 
     def test_inversion_maps_exterior_sample_inside(self):
         packing = two_sphere_packing()
-        gens, _ = gr.packing_inversion_group(packing, samples=200)
+        gens, _ = gr.packing_inversion_group(packing)
         (c0, r0), (c1, r1) = packing.spheres
         inv0 = gens.isometries[0]
         p = hb.HeisPoint(np.array([-3.0 + 0.3j]), 0.7)  # inside ball 1 region
@@ -204,19 +231,31 @@ class TestPacking:
         ).boundary()
         assert hb.cygan_dist(image, c0) < r0
 
-    def test_n3_packing_rejected(self):
-        # the certificate samples the unit Cygan sphere of n = 2 only
+    def test_n3_packing_known_answer(self):
         packing = gr.SpherePacking(
             [
                 (hb.HeisPoint(np.array([3.0 + 0j, 0j]), 0.0), 1.0),
                 (hb.HeisPoint(np.array([-3.0 + 0j, 0j]), 0.0), 1.0),
             ]
         )
-        with pytest.raises(DimensionError):
-            gr.packing_inversion_group(packing, samples=50)
+        gens, cert = gr.packing_inversion_group(packing)
+        assert cert.pairs_checked == 2
+        assert abs(cert.min_margin - 0.8) <= 1e-15
+        # the matrix route obeys d(I(p), c) d(p, c) = r^2 at n = 3 as well
+        (c0, _), (c1, _) = packing.spheres
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            v = rng.uniform(-1, 1)
+            xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            xi *= rng.uniform(0, 1) ** 0.5 * (1 - v**2) ** 0.25 / np.linalg.norm(xi)
+            p = hb.heis_mul(c1, hb.HeisPoint(xi, v))  # in ball 1
+            image = hb.projective_to_horo(core.projective_apply(
+                gens.isometries[0], hb.horo_to_projective(p))).boundary()
+            assert abs(hb.cygan_dist(image, c0) * hb.cygan_dist(p, c0) - 1.0) < 1e-8
+            assert 1.0 - hb.cygan_dist(image, c0) >= cert.min_margin - 1e-12
 
     def test_identity_word_probe(self):
-        gens, _ = gr.packing_inversion_group(two_sphere_packing(), samples=50)
+        gens, _ = gr.packing_inversion_group(two_sphere_packing())
         passed, gap = gr.identity_word_probe(gens, max_len=6)
         assert passed and gap > 1e-6
 
@@ -224,6 +263,45 @@ class TestPacking:
         gens = gr.GroupGens([("a", hb.embed_rotation(np.array([[1j]])))])
         passed, gap = gr.identity_word_probe(gens, max_len=4)
         assert not passed and gap < 1e-9
+
+
+# --- sampled reference for the closed-form ping-pong bound --------------
+# The sampled certificate that the closed form replaced, kept as the oracle
+# the bound is checked against: it can only overestimate the true margin.
+
+
+def ref_unit_sphere_samples(count):
+    """Quasi-random points on the unit Cygan sphere of the n = 2 boundary."""
+    pts = dm._halton(count, 2)
+    v = 2.0 * pts[:, 0] - 1.0
+    phase = 2 * np.pi * pts[:, 1]
+    xi = (1.0 - v**2) ** 0.25 * np.exp(1j * phase)
+    return xi[:, None], v
+
+
+def ref_sampled_margin(packing, gens, samples=1000):
+    """Least r_i - d(I_i(p), c_i) over samples p of the sphere of each ball j."""
+    spheres = packing.spheres
+    unit_xi, unit_v = ref_unit_sphere_samples(samples)
+    min_margin = np.inf
+    for j, (cj, rj) in enumerate(spheres):
+        # boundary samples of ball j
+        batch = [
+            hb.heis_mul(cj, hb.heis_dilate(hb.HeisPoint(unit_xi[k], unit_v[k]), rj))
+            for k in range(samples)
+        ]
+        for i, (ci, ri) in enumerate(spheres):
+            if i == j:
+                continue
+            inv = gens.isometries[i]
+            for p in batch:
+                lift = hb.horo_to_projective(p)
+                image = core.projective_apply(inv, lift)
+                q = hb.projective_to_horo(image).boundary()
+                margin = ri - hb.cygan_dist(q, ci)
+                if margin < min_margin:
+                    min_margin = margin
+    return min_margin
 
 
 # --- sequential reference for the batched dedup -------------------------
@@ -430,7 +508,8 @@ class TestDedupMatchesSequentialReference:
             with pytest.raises(BudgetExceededError) as err:
                 call(gens, 28, ball_origin(), budget=20_000)
             assert err.value.completed_radius == ref_completed
-            assert_same_records(as_tuples(err.value.partial), ref_records)
+        orbit = gr.orbit_enumerate(gens, ref_completed, ball_origin())
+        assert_same_records(as_tuples(orbit), ref_records)
 
     @pytest.mark.parametrize("budget, completed", [(17, 2), (16, 1), (53, 3)])
     def test_budget_boundary(self, budget, completed):
@@ -542,10 +621,10 @@ class TestHalton:
 
         for count in (1, 17, 2000, 10000):
             plain = qmc.Halton(d=dim, scramble=False).random(count)
-            assert np.array_equal(gr._halton(count, dim), plain)
+            assert np.array_equal(dm._halton(count, dim), plain)
             for seed in (0, 1, 7):
                 scrambled = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
-                assert np.array_equal(gr._halton(count, dim, seed=seed), scrambled)
+                assert np.array_equal(dm._halton(count, dim, seed=seed), scrambled)
 
 
 class TestLimitSet:

@@ -18,6 +18,7 @@ from . import heisenberg as hb
 from .errors import (
     BranchBoundaryError,
     DegenerateInputError,
+    ParameterError,
     PointAtInfinityError,
     PointClassError,
 )
@@ -34,9 +35,9 @@ class BendParams:
 
     def __post_init__(self):
         if not 0 < self.zeta < np.pi / 2:
-            raise ValueError("zeta must lie in (0, pi/2)")
+            raise ParameterError("zeta must lie in (0, pi/2)")
         if not abs(self.eta) < np.pi - 2 * self.zeta:
-            raise ValueError("|eta| must be smaller than pi - 2 zeta")
+            raise ParameterError("|eta| must be smaller than pi - 2 zeta")
 
 
 def _sector_schedule(a, params):
@@ -129,28 +130,29 @@ class AmalgamSpec:
 
     def __post_init__(self):
         if (self.group_two is None) == (self.hnn_partner is None):
-            raise ValueError("provide exactly one of group_two and hnn_partner")
+            raise ParameterError("provide exactly one of group_two and hnn_partner")
         if core.classify_isometry(self.g_alpha) != "loxodromic":
-            raise ValueError("g_alpha must be loxodromic")
+            raise ParameterError("g_alpha must be loxodromic")
         fixed = core.boundary_fixed_points(self.g_alpha)
         n = self.g_alpha.n
         expected = (hb.horo_to_projective(hb.HeisPoint(np.zeros(n - 1), 0.0)),
                     core.infinity_point(n))
         for want in expected:
             if not any(want.projectively_equal(p, tol=1e-8) for p in fixed):
-                raise ValueError("g_alpha must fix the origin and infinity")
+                raise ParameterError("g_alpha must fix the origin and infinity")
         for iso in self.group_one.isometries:
             if not _is_projectively_real(iso.matrix):
-                raise ValueError("group_one must preserve the real form")
+                raise ParameterError("group_one must preserve the real form")
         if self.hnn_partner is not None:
             if len(self.hnn_label) != 1:
-                raise ValueError("hnn_label must be a single symbol")
+                raise ParameterError("hnn_label must be a single symbol")
             if self.hnn_label in self.group_one.labels:
-                raise ValueError("hnn_label collides with a group_one label")
+                raise ParameterError("hnn_label collides with a group_one label")
         else:
             clash = set(self.group_one.labels) & set(self.group_two.labels)
             if clash:
-                raise ValueError(f"duplicate labels across factors: {sorted(clash)}")
+                raise ParameterError(
+                    f"duplicate labels across factors: {sorted(clash)}")
 
     @property
     def kind(self):
@@ -223,7 +225,7 @@ def tube_ok(ell, delta):
     constructed from arcsinh stable.
     """
     if ell <= 0 or delta <= 0:
-        raise ValueError("tube parameters must be positive")
+        raise ParameterError("tube parameters must be positive")
     return bool(np.sinh(ell / 4.0) * np.sinh(delta / 2.0) <= 0.5 + 1e-12)
 
 
@@ -318,7 +320,7 @@ def bend_sweep(
     """
     etas = sorted(set(float(e) for e in etas))
     if not etas:
-        raise ValueError("empty angle grid")
+        raise ParameterError("empty angle grid")
     for eta in etas:
         BendParams(eta, zeta)  # range validation against the chosen sector
 

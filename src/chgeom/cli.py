@@ -7,7 +7,9 @@ The timestamp lives in the meta block and is the single nondeterministic
 field.
 
 Exit codes: 0 success, 2 input/parse, 3 degenerate geometry, 4 constraint
-violation, 5 resource budget.
+violation, 5 resource budget.  Each is the exit_code of the chgeom.errors
+class raised; apart from a failed --out write, any other exception is a bug
+and ends the run with its traceback.
 """
 
 import argparse
@@ -25,11 +27,10 @@ from . import dirichlet as dr
 from . import groups as gr
 from . import heisenberg as hb
 from . import presets as ps
-from .errors import GeometryError, PointAtInfinityError
+from .errors import GeometryError, InputError, PointAtInfinityError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_CONSTRAINT = 4
 
 TOL_ENV = "CHGEOM_TOL"
 DEFAULT_TOL = 1e-6
@@ -47,12 +48,6 @@ _FORMATS = {
     "packing": ("json",),
     "profile": ("json", "csv"),
 }
-
-
-class _InputError(Exception):
-    """Configuration or parse failure."""
-
-    exit_code = EXIT_INPUT
 
 
 def _parse_args(argv):
@@ -90,8 +85,8 @@ def _parse_args(argv):
 def _resolve_tol(args):
     if args.command not in _READS_TOL:
         if args.tol is not None:
-            raise _InputError(f"--tol is not read by {args.command} (only by "
-                              f"{' and '.join(_READS_TOL)})")
+            raise InputError(f"--tol is not read by {args.command} (only by "
+                             f"{' and '.join(_READS_TOL)})")
         return None
     if args.tol is not None:
         return float(args.tol)
@@ -100,7 +95,7 @@ def _resolve_tol(args):
         try:
             return float(env)
         except ValueError:
-            raise _InputError(f"{TOL_ENV} is not a number: {env!r}")
+            raise InputError(f"{TOL_ENV} is not a number: {env!r}")
     return DEFAULT_TOL
 
 
@@ -111,11 +106,11 @@ def _parse_matrix_entry(entry):
     if arr.ndim == 2 and arr.shape[1] == 2:
         side = int(round(np.sqrt(arr.shape[0])))
         if side * side != arr.shape[0]:
-            raise _InputError("flat matrix length is not a perfect square")
+            raise InputError("flat matrix length is not a perfect square")
         flat = arr[:, 0] + 1j * arr[:, 1]
         return flat.reshape(side, side)
-    raise _InputError("matrix entries must be [re, im] pairs, "
-                      "row-major or nested by rows")
+    raise InputError("matrix entries must be [re, im] pairs, "
+                     "row-major or nested by rows")
 
 
 def _load_generator_file(path):
@@ -123,15 +118,15 @@ def _load_generator_file(path):
         with open(path) as fh:
             data = json.load(fh)
     except OSError as e:
-        raise _InputError(f"cannot read generator file: {e}")
+        raise InputError(f"cannot read generator file: {e}")
     except json.JSONDecodeError as e:
-        raise _InputError(f"generator file is not valid JSON: {e}")
+        raise InputError(f"generator file is not valid JSON: {e}")
     if not isinstance(data, list) or not data:
-        raise _InputError("generator file must be a nonempty JSON array")
+        raise InputError("generator file must be a nonempty JSON array")
     try:
         mats = [_parse_matrix_entry(m) for m in data]
     except (ValueError, TypeError):
-        raise _InputError("generator file entries are not numeric matrices")
+        raise InputError("generator file entries are not numeric matrices")
     return mats
 
 
@@ -140,7 +135,7 @@ _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 def _gens_from_isometries(isos):
     if len(isos) > len(_LABELS):
-        raise _InputError("too many generators for labeling")
+        raise InputError("too many generators for labeling")
     involutive = [label for label, iso in zip(_LABELS, isos)
                   if core.is_projective_identity(iso.matrix @ iso.matrix)]
     return gr.GroupGens(tuple(zip(_LABELS, isos)), involutive=involutive)
@@ -149,8 +144,8 @@ def _gens_from_isometries(isos):
 def _check_n(args, n, source):
     """Reject a --n that differs from the dimension n of the input."""
     if args.n is not None and args.n != n:
-        raise _InputError(f"{source} has n = {n}, which does not match "
-                          f"--n {args.n}")
+        raise InputError(f"{source} has n = {n}, which does not match "
+                         f"--n {args.n}")
 
 
 def _resolve_group(args, allowed_presets, labeled=True):
@@ -161,7 +156,7 @@ def _resolve_group(args, allowed_presets, labeled=True):
     accepted.
     """
     if not args.preset:
-        raise _InputError("--preset is required for this command")
+        raise InputError("--preset is required for this command")
     if args.preset in allowed_presets:
         gens = ps.group_preset(args.preset)
         _check_n(args, gens.dim - 1, f"preset {args.preset}")
@@ -170,7 +165,7 @@ def _resolve_group(args, allowed_presets, labeled=True):
         isos = [core.Isometry(m) for m in _load_generator_file(args.preset)]
         _check_n(args, isos[0].n, "generator file")
         return _gens_from_isometries(isos) if labeled else isos
-    raise _InputError(
+    raise InputError(
         f"unknown preset {args.preset!r} (expected one of "
         f"{', '.join(allowed_presets)} or a generator file path)")
 
@@ -231,13 +226,15 @@ def _cmd_classify(args, tol):
 
 def _cmd_dirichlet(args, tol):
     gens = _resolve_group(args, ps.DIRICHLET_PRESETS)
-    radius = int(args.radius) if args.radius is not None else 6
-    if radius < 1:
-        raise _InputError("--radius must be a positive enumeration radius")
+    radius = args.radius if args.radius is not None else 6
+    if not 1 <= radius < np.inf:
+        raise InputError("--radius must be a positive enumeration radius")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
     census = dr.dirichlet_side_census(
         gens,
         _ball_origin(gens.dim),
-        radius,
+        int(radius),
         rays=args.rays,
         seed=args.seed,
         margin=tol,
@@ -255,7 +252,7 @@ def _cmd_dirichlet(args, tol):
 def _cmd_bend(args, tol):
     preset = args.preset or "hnn-bend"
     if preset not in ps.BEND_PRESETS:
-        raise _InputError(
+        raise InputError(
             f"unknown bend preset {preset!r} (expected one of "
             f"{', '.join(ps.BEND_PRESETS)})")
     spec = ps.bend_preset(preset)
@@ -293,15 +290,15 @@ def _parse_eta_grid(text):
     try:
         return [float(s) for s in items]
     except ValueError:
-        raise _InputError(f"--eta-grid is not a comma-separated float list: "
-                          f"{text!r}")
+        raise InputError(f"--eta-grid is not a comma-separated float list: "
+                         f"{text!r}")
 
 
 def _cmd_orbit(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
     depth = args.depth if args.depth is not None else 4
     if depth < 1:
-        raise _InputError("--depth must be >= 1")
+        raise InputError("--depth must be >= 1")
     orbit = gr.orbit_enumerate(gens, depth, _ball_origin(gens.dim))
     points = _points_payload(orbit.lifts, word=orbit.words,
                              word_length=orbit.word_lengths.tolist(),
@@ -313,14 +310,14 @@ def _cmd_limitset(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
     depth = args.depth if args.depth is not None else 6
     if depth < 1:
-        raise _InputError("--depth must be >= 1")
+        raise InputError("--depth must be >= 1")
     seeds = ps.boundary_seeds(25, seed=args.seed)
     cloud = gr.limit_set_sample(gens, depth, seeds)
     xi = cloud.xi
     v = cloud.v
     if args.radius is not None:
         if args.radius <= 0:
-            raise _InputError("--radius must be positive")
+            raise InputError("--radius must be positive")
         keep = np.abs(xi[:, 0]) <= args.radius
         xi, v = xi[keep], v[keep]
     return {
@@ -339,7 +336,7 @@ def _cmd_limitset(args, tol):
 def _cmd_packing(args, tol):
     preset = args.preset or "two-sphere"
     if preset not in ps.PACKING_PRESETS:
-        raise _InputError(
+        raise InputError(
             f"unknown packing preset {preset!r} (expected one of "
             f"{', '.join(ps.PACKING_PRESETS)})")
     packing = ps.packing_preset(preset)
@@ -358,7 +355,7 @@ def _cmd_profile(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
     depth = args.depth if args.depth is not None else 10
     if depth < 1:
-        raise _InputError("--depth must be >= 1")
+        raise InputError("--depth must be >= 1")
     rows = gr.word_metric_profile(gens, depth, budget=400000)
     return {
         "meta": _meta(args, depth=int(depth)),
@@ -394,7 +391,7 @@ def _to_csv(command, payload):
         for w in payload["sides"]:
             lines.append(f"{w},{payload['margins'][w]!r}")
     else:
-        raise _InputError(f"{command} has no CSV projection")
+        raise InputError(f"{command} has no CSV projection")
     return "\n".join(lines) + "\n"
 
 
@@ -433,7 +430,7 @@ def _svg_panel(points_xy, x0, width, title):
 
 def _to_svg(command, payload):
     if command != "bend":
-        raise _InputError(f"{command} has no SVG projection")
+        raise InputError(f"{command} has no SVG projection")
     plane = []
     vertical = []
     for row in payload["rows"]:
@@ -463,7 +460,7 @@ def _render(args, payload):
 
 
 def _error_json(code, exc, **extra):
-    info = {"type": type(exc).__name__.lstrip("_"),
+    info = {"type": type(exc).__name__,
             "message": str(exc), "exit": code}
     info.update(extra)
     return json.dumps({"error": info}, sort_keys=True)
@@ -471,22 +468,18 @@ def _error_json(code, exc, **extra):
 
 def main(argv=None):
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    if args.format not in _FORMATS[args.command]:
-        print(_error_json(EXIT_INPUT, _InputError(
-            f"format {args.format!r} is not available for {args.command} "
-            f"(choose from {', '.join(_FORMATS[args.command])})")),
-            file=sys.stderr)
-        return EXIT_INPUT
     try:
+        if args.format not in _FORMATS[args.command]:
+            raise InputError(
+                f"format {args.format!r} is not available for {args.command} "
+                f"(choose from {', '.join(_FORMATS[args.command])})")
         tol = _resolve_tol(args)
         payload = _DISPATCH[args.command](args, tol)
         text = _render(args, payload)
-    except (GeometryError, _InputError, ValueError) as e:
-        # a bare ValueError still reads as a constraint violation
-        code = getattr(e, "exit_code", EXIT_CONSTRAINT)
-        fields = e.json_fields() if isinstance(e, GeometryError) else {}
-        print(_error_json(code, e, **fields), file=sys.stderr)
-        return code
+    except GeometryError as e:
+        # any other exception is a bug and keeps its traceback
+        print(_error_json(e.exit_code, e, **e.json_fields()), file=sys.stderr)
+        return e.exit_code
 
     if args.out:
         # a failed write must leave no partial file: write aside, then rename

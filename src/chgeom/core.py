@@ -181,8 +181,13 @@ class Isometry:
                 f"matrix does not preserve the Hermitian form (defect {defect:.3e})",
                 defect=defect,
             )
-        det = np.linalg.det(m)
-        m = m / abs(det) ** (1.0 / m.shape[0])
+        det = abs(np.linalg.det(m))
+        if not 0.0 < det < np.inf:
+            # far-out products can round the determinant to 0 or overflow it
+            raise FormViolationError(
+                f"matrix determinant {det:.3e} cannot be normalized")
+        # dividing also turns -0.0 entries into +0.0 for the dedup keys
+        m = m / det ** (1.0 / m.shape[0])
         self.matrix = m
 
     @property

@@ -43,6 +43,7 @@ from .errors import (
     DegenerateCenterError,
     DegenerateInputError,
     InvarianceError,
+    ParameterError,
 )
 
 DEFAULT_RAYS = 2000
@@ -295,7 +296,7 @@ def dirichlet_side_census(
     beater are reported in unbounded_ray_fraction.
     """
     if rays < 100:
-        raise ValueError("need at least 100 rays")
+        raise ParameterError("need at least 100 rays")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
     words, mats = _census_orbit(gens, enum_radius, budget)
@@ -323,7 +324,7 @@ def parabolic_projection(p, model, u0):
     coordinate that makes the projection commute with the integer lattice.
     """
     if u0 <= 0:
-        raise ValueError("slice height u0 must be positive")
+        raise ParameterError("slice height u0 must be positive")
     p = hb._horo(p)
     if model == "vertical-axis":
         return hb.HoroPoint(np.zeros_like(p.xi), p.v, u0)
@@ -332,7 +333,7 @@ def parabolic_projection(p, model, u0):
     if model == "full-horizontal":
         w = p.v + 2.0 * float(np.sum(p.xi.real * p.xi.imag))
         return hb.HoroPoint(p.xi.real.astype(complex), w, u0)
-    raise ValueError(f"unknown model {model!r}")
+    raise ParameterError(f"unknown model {model!r}")
 
 
 def _slice_coords(model, coords, n):
@@ -358,7 +359,7 @@ def _model_dim(model):
         return 1
     if model == "full-horizontal":
         return 2
-    raise ValueError(f"unknown model {model!r}")
+    raise ParameterError(f"unknown model {model!r}")
 
 
 def _check_invariance(gens, model, u0, tol=1e-9):

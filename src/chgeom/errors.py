@@ -1,10 +1,12 @@
 """Exception types shared across the toolkit.
 
-Every error that carries numerical evidence (a form defect, an eigenvalue
-list, a completed radius) stores it on the exception instance so callers
-and the CLI can report it without reparsing messages.  Each class also names
-the CLI exit code it maps to: 2 input, 3 degenerate geometry, 4
-constraint violation, 5 resource budget.
+Every failure the toolkit raises is one of these classes.  Every error that
+carries numerical evidence (a form defect, an eigenvalue list, a completed
+radius) stores it on the exception instance so callers and the CLI can
+report it without reparsing messages.  Each class also names the CLI exit
+code it maps to: 2 input, 3 degenerate geometry, 4 constraint violation,
+5 resource budget.  The CLI catches GeometryError alone, so any other
+exception, with its traceback, is a bug.
 """
 
 
@@ -16,6 +18,22 @@ class GeometryError(Exception):
     def json_fields(self):
         """Evidence fields for a JSON error report."""
         return {}
+
+
+class InputError(GeometryError):
+    """A command-line configuration or input file that cannot be used."""
+
+    exit_code = 2
+
+
+class ParameterError(GeometryError, ValueError):
+    """An argument outside the domain of the operation (an empty grid, an
+    unknown model name, a nonpositive radius, ...).
+
+    It is also a ValueError, so callers may catch it as one.
+    """
+
+    exit_code = 4
 
 
 class DimensionError(GeometryError):

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     InvalidPackingError,
+    ParameterError,
     PointAtInfinityError,
     PoleError,
 )
@@ -52,24 +53,25 @@ class GroupGens:
         isos = []
         for label, iso in generators:
             if len(label) != 1:
-                raise ValueError(f"label {label!r} is not a single symbol")
+                raise ParameterError(f"label {label!r} is not a single symbol")
             if not isinstance(iso, core.Isometry):
                 iso = core.Isometry(np.asarray(iso, dtype=complex))
             labels.append(label)
             isos.append(iso)
         if len(set(labels)) != len(labels):
-            raise ValueError("generator labels must be unique")
+            raise ParameterError("generator labels must be unique")
         inv = frozenset(involutive)
         for label in labels:
             if label not in inv and label.swapcase() == label:
-                raise ValueError(
+                raise ParameterError(
                     f"label {label!r} has no case pair; declare it involutive"
                 )
             if label not in inv and label.swapcase() in labels:
-                raise ValueError(f"label {label!r} collides with an inverse label")
+                raise ParameterError(f"label {label!r} collides with an inverse label")
         unknown = inv - set(labels)
         if unknown:
-            raise ValueError(f"involutive labels {sorted(unknown)} are not generators")
+            raise ParameterError(
+                f"involutive labels {sorted(unknown)} are not generators")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "isometries", tuple(isos))
         object.__setattr__(self, "involutive", inv)
@@ -275,7 +277,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     the enumeration budget runs out.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise ParameterError("max_len must be >= 1")
     if core.point_class(basepoint) != "negative":
         raise DegenerateInputError("basepoint must be an interior point")
 
@@ -412,7 +414,7 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     infinity, if hit exactly, is dropped).  Deterministic for fixed input.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ParameterError("depth must be >= 1")
     levels = _complete_ball(gens, depth, budget)
     _, stack = levels[depth] if depth < len(levels) else ((), None)
     if stack is None or len(stack) == 0:
@@ -436,23 +438,19 @@ class BoxDimFit:
     counts: tuple
 
 
-def boxdim_estimate(points, scales):
-    """Box-counting dimension of a boundary point set in the Cygan metric.
+def boxdim_estimate(cloud, scales):
+    """Box-counting dimension of a HeisCloud in the Cygan metric.
 
     Cells are anisotropic to match the metric scaling: size eps in each
     real coordinate of xi and eps^2 in v.  Returns the least-squares slope
     of log N(eps) against log(1/eps).
     """
-    if isinstance(points, HeisCloud):
-        xi, v = points.xi, points.v
-    else:
-        xi = np.stack([p.xi for p in points])
-        v = np.array([p.v for p in points])
+    xi, v = cloud.xi, cloud.v
     if len(v) < 1000:
-        raise ValueError("need at least 1000 points")
+        raise ParameterError("need at least 1000 points")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     if len(scales) < 4 or scales[0] / scales[-1] < 10.0:
-        raise ValueError("need >= 4 scales spanning at least a decade")
+        raise ParameterError("need >= 4 scales spanning at least a decade")
 
     coords = np.column_stack([xi.real, xi.imag, v[:, None]])
     spread = coords.max(axis=0) - coords.min(axis=0)
@@ -480,7 +478,7 @@ def cusp_neighborhood_contains(p, cusp_point, invariant_model, r):
     the real horizontal line).
     """
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise ParameterError("radius must be positive")
     p = hb._horo(p)
     if hb.cygan_dist(p, cusp_point) <= 1e-12:
         raise PoleError("query point coincides with the cusp point")
@@ -496,18 +494,22 @@ def cusp_neighborhood_contains(p, cusp_point, invariant_model, r):
     elif invariant_model == "horizontal-line":
         dist = _dist_to_horizontal_line(image)
     else:
-        raise ValueError(f"unknown invariant model {invariant_model!r}")
+        raise ParameterError(f"unknown invariant model {invariant_model!r}")
     return bool(dist >= 1.0 / r)
 
 
 def _dist_to_horizontal_line(p):
-    """Cygan distance from p to the real horizontal line {(x, 0): x real}."""
-    from scipy.optimize import minimize_scalar
+    """Cygan distance from p to the real horizontal line {(x, 0): x real}.
 
-    def objective(x):
-        return hb.cygan_dist(hb.HeisPoint(np.array([x + 0j]), 0.0), p)
-
-    span = 2.0 + 2.0 * float(np.max(np.abs(p.xi))) + abs(p.v) + p.u
-    res = minimize_scalar(objective, bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.fun)
+    With xi = a + ib and y = x - a, the squared gauge from p to (x, 0) is
+    F(y) = (y^2 + b^2 + u)^2 + (v + 2b(y + a))^2.  F' is 4 times the cubic
+    y^3 + (3b^2 + u) y + b(v + 2ab), which increases in y, so F is convex
+    and least at the cubic's one real root.  Evaluating F at the real parts
+    of all three roots therefore finds that minimum.
+    """
+    if p.n != 2:
+        raise DimensionError("the horizontal-line model needs n = 2")
+    a, b = p.xi[0].real, p.xi[0].imag
+    y = np.roots([1.0, 0.0, 3.0 * b * b + p.u, b * (p.v + 2.0 * a * b)]).real
+    gauge_sq = (y * y + b * b + p.u) ** 2 + (p.v + 2.0 * b * (y + a)) ** 2
+    return float(gauge_sq.min() ** 0.25)

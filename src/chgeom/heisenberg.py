@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import DimensionError, PointAtInfinityError, PoleError
+from .errors import DimensionError, ParameterError, PointAtInfinityError, PoleError
 
 ROTATION_TOL = 1e-10
 
@@ -69,7 +69,7 @@ class HoroPoint:
     def __init__(self, xi, v, u):
         u = float(u)
         if u < 0:
-            raise ValueError("height u must be nonnegative")
+            raise ParameterError("height u must be nonnegative")
         object.__setattr__(self, "xi", _as_xi(xi))
         object.__setattr__(self, "v", float(v))
         object.__setattr__(self, "u", u)
@@ -170,12 +170,12 @@ class HeisSimilarity:
         rotation = np.atleast_2d(np.asarray(rotation, dtype=complex))
         defect = np.max(np.abs(rotation.conj().T @ rotation - np.eye(rotation.shape[0])))
         if defect > ROTATION_TOL:
-            raise ValueError(f"rotation part is not unitary (defect {defect:.3e})")
+            raise ParameterError(f"rotation part is not unitary (defect {defect:.3e})")
         if translation is None:
             translation = HeisPoint(np.zeros(rotation.shape[0]), 0.0)
         dilation = float(dilation)
         if dilation <= 0:
-            raise ValueError("dilation factor must be positive")
+            raise ParameterError("dilation factor must be positive")
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
         object.__setattr__(self, "dilation", dilation)
@@ -314,14 +314,16 @@ def _lift_coords(lifts, tol):
 
     A row whose c = z_n + z_{n+1} is at most tol times its largest entry is
     the point at infinity: finite is False there, and xi, v and u cover
-    the finite rows only.  A height within 1e-9 below 0 reads as 0.
+    the finite rows only.  The rounding error of u grows with |z|^2, so a
+    height within 1e-9 max(1, max|z_i|^2) below 0 reads as 0.
     """
     k = lifts.shape[-1] - 2
     c = lifts[:, k] + lifts[:, k + 1]
     finite = np.abs(c) > tol * np.abs(lifts).max(axis=-1)
     z = lifts[finite] / c[finite, None]
     u = -core._form_norms(z)
-    u[(-1e-9 < u) & (u < 0.0)] = 0.0
+    floor = -1e-9 * np.maximum(1.0, np.abs(z).max(axis=-1) ** 2)
+    u[(floor < u) & (u < 0.0)] = 0.0
     return finite, z[:, :k], (z[:, k] - z[:, k + 1]).imag, u
 
 

@@ -11,6 +11,7 @@ from . import bending as bd
 from . import core
 from . import groups as gr
 from . import heisenberg as hb
+from .errors import ParameterError
 
 DIRICHLET_PRESETS = ("cyclic-vertical", "cyclic-horizontal", "dilation",
                      "z2-lattice")
@@ -74,7 +75,7 @@ def group_preset(name):
              ("s", real_circle_inversion())),
             involutive=frozenset({"s"}),
         )
-    raise ValueError(f"unknown group preset {name!r}")
+    raise ParameterError(f"unknown group preset {name!r}")
 
 
 def packing_preset(name):
@@ -84,7 +85,7 @@ def packing_preset(name):
             (hb.HeisPoint(np.array([3.0 + 0.0j]), 0.0), 1.0),
             (hb.HeisPoint(np.array([-3.0 + 0.0j]), 0.0), 1.0),
         ))
-    raise ValueError(f"unknown packing preset {name!r}")
+    raise ParameterError(f"unknown packing preset {name!r}")
 
 
 def bend_preset(name):
@@ -103,7 +104,7 @@ def bend_preset(name):
                                     ("t", hb.embed_translation(1.0, 0.0)))),
             group_two=gr.GroupGens((("b", real_glide(1.5)),)),
         )
-    raise ValueError(f"unknown bend preset {name!r}")
+    raise ParameterError(f"unknown bend preset {name!r}")
 
 
 def boundary_seeds(count, seed=0):
@@ -113,7 +114,7 @@ def boundary_seeds(count, seed=0):
     seed offsets the sequence without changing its character.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ParameterError("count must be >= 1")
     out = []
     for k in range(count):
         frac = ((seed * 97 + k + 1) * _GOLDEN) % 1.0

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import contextlib
 import io
 import json
@@ -166,6 +168,16 @@ def test_dirichlet_degenerate_center_exits_3(tmp_path):
                             "--radius", "2", "--rays", "300"])
     assert rc == 3
     assert json.loads(err)["error"]["type"] == "DegenerateCenterError"
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--radius", "nan"),
+                                        ("--radius", "inf")])
+def test_dirichlet_bad_numeric_flag_exits_2(flag, value):
+    rc, out, err = run_cli(["--command", "dirichlet", "--preset", "z2-lattice",
+                            "--rays", "300", flag, value])
+    assert rc == 2, err
+    assert json.loads(err)["error"]["type"] == "InputError"
     assert out == ""
 
 
@@ -482,11 +494,11 @@ _ERROR_TABLE = [
     (errors.InvarianceError("m"), 4, {}),
     (errors.BranchBoundaryError("m"), 4, {}),
     (errors.InvalidPackingError("m"), 4, {}),
-    (ValueError("m"), 4, {}),
+    (errors.ParameterError("m"), 4, {}),
     (errors.BudgetExceededError("m", completed_radius=7), 5,
      {"completed_radius": 7}),
     (errors.BudgetExceededError("m"), 5, {"completed_radius": None}),
-    (cli._InputError("m"), 2, {}),
+    (errors.InputError("m"), 2, {}),
 ]
 
 
@@ -499,7 +511,7 @@ def test_error_exit_codes_and_json(monkeypatch, exc, code, fields):
     monkeypatch.setitem(cli._DISPATCH, "packing", fail)
     rc, out, err = run_cli(["--command", "packing"])
     assert rc == code and out == ""
-    info = {"type": type(exc).__name__.lstrip("_"), "message": "m",
+    info = {"type": type(exc).__name__, "message": "m",
             "exit": code, **fields}
     assert err == json.dumps({"error": info}, sort_keys=True) + "\n"
 
@@ -507,7 +519,35 @@ def test_error_exit_codes_and_json(monkeypatch, exc, code, fields):
 def test_every_geometry_error_has_an_exit_code():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.GeometryError)]
-    assert len(classes) == 14
+    assert len(classes) == 16
     for c in classes:
         assert "exit_code" in vars(c), c.__name__
         assert c.exit_code in (2, 3, 4, 5)
+
+
+def test_bare_value_error_is_a_bug_and_propagates(monkeypatch):
+    def fail(args, tol):
+        raise ValueError("m")
+
+    monkeypatch.setitem(cli._DISPATCH, "packing", fail)
+    with pytest.raises(ValueError, match="^m$"):
+        run_cli(["--command", "packing"])
+
+
+def test_toolkit_raises_no_builtin_exception():
+    src = os.path.dirname(cli.__file__)
+    builtin_errors = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in builtin_errors:
+                found.append(f"{name}:{node.lineno} {exc.id}")
+    assert found == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from chgeom import presets as ps
 from chgeom.errors import (
     BudgetExceededError,
     DegenerateInputError,
+    DimensionError,
+    FormViolationError,
     InvalidPackingError,
     InvalidPointError,
     PoleError,
@@ -253,6 +257,18 @@ class TestPacking:
                 gens.isometries[0], hb.horo_to_projective(p))).boundary()
             assert abs(hb.cygan_dist(image, c0) * hb.cygan_dist(p, c0) - 1.0) < 1e-8
             assert 1.0 - hb.cygan_dist(image, c0) >= cert.min_margin - 1e-12
+
+    def test_far_center_raises_instead_of_nan_matrix(self):
+        # the determinant of the inversion about (1000, 0) rounds to 0
+        far = hb.HeisPoint(np.array([1000.0 + 0j]), 0.0)
+        packing = gr.SpherePacking([(hb.HeisPoint(np.array([0j]), 0.0), 1.0),
+                                    (far, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormViolationError):
+                gr.sphere_inversion(far, 1.0)
+            with pytest.raises(FormViolationError):
+                gr.packing_inversion_group(packing)
 
     def test_identity_word_probe(self):
         gens, _ = gr.packing_inversion_group(two_sphere_packing())
@@ -708,3 +724,48 @@ class TestCuspNeighborhood:
             gr.cusp_neighborhood_contains(
                 hb.HeisPoint(np.zeros(1, dtype=complex), 0.0), cusp, "vertical-axis", 1.0
             )
+
+    def test_horizontal_line_known_answer(self):
+        # the unit inversion about the origin maps p to (3, 16); with
+        # Im xi = 0 the squared gauge to (x, 0) is (x - 3)^4 + 16^2, so the
+        # image lies at distance 4 from the line
+        cusp = hb.HeisPoint(np.zeros(1, dtype=complex), 0.0)
+        p = hb.heis_inversion(hb.HeisPoint(np.array([3.0 + 0j]), 16.0))
+        assert gr.cusp_neighborhood_contains(p, cusp, "horizontal-line", 0.3)
+        assert not gr.cusp_neighborhood_contains(p, cusp, "horizontal-line", 0.2)
+
+
+def ref_dist_to_horizontal_line(p):
+    """The bounded scalar minimization that the closed form replaced."""
+    from scipy.optimize import minimize_scalar
+
+    def objective(x):
+        return hb.cygan_dist(hb.HeisPoint(np.array([x + 0j]), 0.0), p)
+
+    span = 2.0 + 2.0 * float(np.max(np.abs(p.xi))) + abs(p.v) + p.u
+    res = minimize_scalar(objective, bounds=(-span, span), method="bounded",
+                          options={"xatol": 1e-10})
+    return float(res.fun)
+
+
+class TestHorizontalLineDistance:
+    def test_closed_form_matches_optimizer(self):
+        rng = np.random.default_rng(8)
+        for k in range(500):
+            scale = 10.0 ** rng.uniform(-2, 2)
+            xi = scale * complex(*rng.normal(size=2))
+            u = 0.0 if k % 2 else scale**2 * rng.exponential()
+            p = hb.HoroPoint(np.array([xi]), scale**2 * rng.normal(), u)
+            want = ref_dist_to_horizontal_line(p)
+            assert abs(gr._dist_to_horizontal_line(p) - want) <= 1e-9 * want
+
+    def test_known_values(self):
+        # on the line, above it (u adds to the gauge), and off it in Im xi
+        assert gr._dist_to_horizontal_line(hb.HoroPoint([5.0], 0.0, 0.0)) == 0.0
+        assert gr._dist_to_horizontal_line(hb.HoroPoint([5.0], 0.0, 9.0)) == 3.0
+        assert abs(gr._dist_to_horizontal_line(hb.HoroPoint([2j], 0.0, 0.0))
+                   - 2.0) <= 1e-15
+
+    def test_needs_n_2(self):
+        with pytest.raises(DimensionError):
+            gr._dist_to_horizontal_line(hb.HoroPoint([1.0, 1j], 0.0, 0.0))

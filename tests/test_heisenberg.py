@@ -273,6 +273,33 @@ def test_lift_height_identity():
         assert np.isclose(core.herm_inner(z, z).real, -u, atol=1e-12)
 
 
+def test_far_boundary_images_read_height_zero():
+    # Images of unit Cygan spheres about far centers c1 under the unit
+    # inversion about far centers c0, at n = 3.  The form's rounding grows
+    # with |z|^2, and about half of these heights round below -1e-9.
+    rng = np.random.default_rng(5)
+    lifts = []
+    while len(lifts) < 300:
+        c0, c1 = (hb.HeisPoint(rng.uniform(-30, 30, 2) + 1j * rng.uniform(-30, 30, 2),
+                               rng.uniform(-900, 900)) for _ in range(2))
+        if hb.cygan_dist(c0, c1) <= 2.0:
+            continue
+        t = hb.embed_translation(c0)
+        inv = t @ hb.inversion_matrix(3) @ t.inverse()
+        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        angle = rng.uniform(-np.pi / 2, np.pi / 2)
+        xi *= np.cos(angle) ** 0.5 / np.linalg.norm(xi)
+        p = hb.heis_mul(c1, hb.HeisPoint(xi, np.sin(angle)))
+        lifts.append(inv.matrix @ hb.horo_to_projective(p).lift)
+    lifts = np.array(lifts)
+    raw = -core._form_norms(lifts / (lifts[:, 2] + lifts[:, 3])[:, None])
+    assert np.sum(raw < -1e-9) > 100
+    heights = np.array([hb.projective_to_horo(core.ProjectivePoint(z)).u
+                        for z in lifts])
+    assert np.all(heights[raw < 0] == 0.0)
+    assert np.all(heights[raw >= 0] == raw[raw >= 0])
+
+
 def test_projective_to_horo_infinity():
     with pytest.raises(PointAtInfinityError):
         hb.projective_to_horo(core.infinity_point(2))

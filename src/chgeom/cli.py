@@ -89,14 +89,18 @@ def _resolve_tol(args):
                              f"{' and '.join(_READS_TOL)})")
         return None
     if args.tol is not None:
-        return float(args.tol)
-    env = os.environ.get(TOL_ENV)
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get(TOL_ENV)
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), TOL_ENV
         except ValueError:
             raise InputError(f"{TOL_ENV} is not a number: {env!r}")
-    return DEFAULT_TOL
+    if not 0 <= tol < np.inf:
+        raise InputError(f"{source} must be finite and nonnegative, not {tol!r}")
+    return tol
 
 
 def _parse_matrix_entry(entry):
@@ -168,6 +172,14 @@ def _resolve_group(args, allowed_presets, labeled=True):
     raise InputError(
         f"unknown preset {args.preset!r} (expected one of "
         f"{', '.join(allowed_presets)} or a generator file path)")
+
+
+def _depth(args, default):
+    """--depth, or the command's default; a maximum word length is >= 1."""
+    depth = args.depth if args.depth is not None else default
+    if depth < 1:
+        raise InputError("--depth must be >= 1")
+    return depth
 
 
 def _meta(args, **extra):
@@ -258,11 +270,11 @@ def _cmd_bend(args, tol):
     spec = ps.bend_preset(preset)
     _check_n(args, spec.g_alpha.n, f"preset {preset}")
     grid = _parse_eta_grid(args.eta_grid)
-    depth = args.depth if args.depth is not None else 5
+    depth = _depth(args, 5)
     report = bd.bend_sweep(
         spec,
         grid,
-        zeta=args.zeta,
+        zeta=_finite(args.zeta, "--zeta"),
         probe_tol=tol,
         limit_depth=depth,
     )
@@ -288,17 +300,22 @@ def _cmd_bend(args, tol):
 def _parse_eta_grid(text):
     items = [s for s in text.split(",") if s.strip()]
     try:
-        return [float(s) for s in items]
+        grid = [float(s) for s in items]
     except ValueError:
         raise InputError(f"--eta-grid is not a comma-separated float list: "
                          f"{text!r}")
+    return [_finite(eta, "--eta-grid") for eta in grid]
+
+
+def _finite(value, flag):
+    if not np.isfinite(value):
+        raise InputError(f"{flag} must be finite, not {value!r}")
+    return value
 
 
 def _cmd_orbit(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = args.depth if args.depth is not None else 4
-    if depth < 1:
-        raise InputError("--depth must be >= 1")
+    depth = _depth(args, 4)
     orbit = gr.orbit_enumerate(gens, depth, _ball_origin(gens.dim))
     points = _points_payload(orbit.lifts, word=orbit.words,
                              word_length=orbit.word_lengths.tolist(),
@@ -308,16 +325,14 @@ def _cmd_orbit(args, tol):
 
 def _cmd_limitset(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = args.depth if args.depth is not None else 6
-    if depth < 1:
-        raise InputError("--depth must be >= 1")
+    depth = _depth(args, 6)
+    if args.radius is not None and not 0 < args.radius < np.inf:
+        raise InputError("--radius must be a positive window radius")
     seeds = ps.boundary_seeds(25, seed=args.seed)
     cloud = gr.limit_set_sample(gens, depth, seeds)
     xi = cloud.xi
     v = cloud.v
     if args.radius is not None:
-        if args.radius <= 0:
-            raise InputError("--radius must be positive")
         keep = np.abs(xi[:, 0]) <= args.radius
         xi, v = xi[keep], v[keep]
     return {
@@ -353,9 +368,7 @@ def _cmd_packing(args, tol):
 
 def _cmd_profile(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = args.depth if args.depth is not None else 10
-    if depth < 1:
-        raise InputError("--depth must be >= 1")
+    depth = _depth(args, 10)
     rows = gr.word_metric_profile(gens, depth, budget=400000)
     return {
         "meta": _meta(args, depth=int(depth)),

@@ -9,11 +9,16 @@ the basepoint) in that order; nothing is built per point.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
-entries divided by a pivot entry and rounded to 9 digits.  An item with a
-new key is kept; one with a seen key is dropped when it matches a kept item
-with that key (matrix gap <= 1e-6, or lift gap <= PROJ_TOL for points).
-Items with different keys are never compared.  All of this is float64, so
-far-out orbit points whose lifts agree to rounding merge though distinct.
+entries divided by a pivot entry and rounded to 9 digits, and two keys are
+equal when their bytes are.  One sorted index of 64-bit key hashes, with
+back-pointers into the kept stacks, serves every level: a level sorts its
+own hashes, looks its keys up with one search, and confirms each hash match
+on the full key; keys that share a hash are told apart by their bytes, so
+a hash collision never merges items.  An item with a new key is kept; one
+with a seen key is dropped when it matches a kept item with that key
+(matrix gap <= 1e-6, or lift gap <= PROJ_TOL for points).  Items with
+different keys are never compared.  All of this is float64, so far-out
+orbit points whose lifts agree to rounding merge though distinct.
 """
 
 from dataclasses import dataclass
@@ -151,51 +156,177 @@ def _canonical_rows(flat, digits=9):
     return np.round(canon.view(float), digits)
 
 
+_MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
+                dtype=np.uint64)
+
+
+def _key_hash(words):
+    """A 64-bit hash of each row of a (k, m) uint64 array.
+
+    Each word gets its column's offset, so equal words in different columns
+    differ, and is then mixed by two multiply-xorshift rounds; a row's
+    mixed words are summed modulo 2^64.  Dedup is exact for any function of
+    the row, since every hash match is confirmed on the full key; a good
+    hash only keeps the collision path idle.
+    """
+    offsets = np.arange(words.shape[1], dtype=np.uint64) * _MIX[0]
+    hashes = np.empty(len(words), dtype=np.uint64)
+    for lo in range(0, len(words), 4096):  # cache-sized temporaries
+        mixed = words[lo:lo + 4096] + offsets
+        mixed *= _MIX[1]
+        mixed ^= mixed >> 32
+        mixed *= _MIX[2]
+        mixed ^= mixed >> 29
+        mixed.sum(axis=1, out=hashes[lo:lo + 4096])
+    return hashes
+
+
+def _byte_rows(words):
+    """The rows of a 2-D array as single void scalars, compared as bytes."""
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
+
+
+def _first_of_key(words, hashes):
+    """For each row, the first row with the same key words.
+
+    Rows are grouped by sorting their hashes and checked against the first
+    row of their group; groups whose hash two different keys share are
+    regrouped by their bytes.
+    """
+    order = np.argsort(hashes)
+    sorted_hashes = hashes[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
+    group = np.cumsum(head) - 1
+    first_of = np.empty_like(order)
+    first_of[order] = np.minimum.reduceat(order, np.flatnonzero(head))[group]
+    dup = np.flatnonzero(first_of != np.arange(len(order)))
+    clash = dup[np.any(words[dup] != words[first_of[dup]], axis=1)]
+    if len(clash):
+        rows = np.flatnonzero(np.isin(first_of, first_of[clash]))
+        _, first, inverse = np.unique(_byte_rows(words[rows]), return_index=True,
+                                      return_inverse=True)
+        first_of[rows] = rows[first[inverse]]
+    return first_of
+
+
 class _FirstKept:
     """Projective dedup, level by level, in which the first item wins.
 
-    A key's first kept item is its representative.  A level's items with a
-    seen key are tested against their representatives in batched calls of
-    `same`; only those that differ are then checked, in order, against the
-    key's other kept items.  Keys are compared as bytes: np.unique within
-    the level, then a search in one sorted run per earlier level.
+    Keys are compared as bytes, read as uint64 words, so -0.0 and +0.0
+    differ and a NaN equals only its own bit pattern.  A key's first kept
+    item is its representative.  The index is the sorted `_key_hash` of
+    every key seen so far, each with its representative's row in the kept
+    stacks; those stacks are stored per level with their keys and never
+    copied.
+
+    A level finds the first item of each of its keys by sorting its hashes
+    (`_first_of_key`), then looks those keys up with one searchsorted into
+    the index.  Every hash match is confirmed on the full key.  A
+    collision, two different keys with one hash, takes an exact path:
+    within the level its hash group is regrouped by bytes, and a hash that
+    several index entries hold is matched against all of them by bytes
+    (np.unique).  So a collision costs time but never merges items or
+    fails.  The level's new keys are then merged into the index.
+
+    Items with a seen key are tested against their representatives in
+    batched calls of `same`; only those that differ are then checked, in
+    order, against the key's other kept items.
     """
 
     def __init__(self, same):
         self.same = same  # batched: (stack, stack) -> bool array
-        self.runs = []  # per level: sorted new keys, their kept rows, kept items
+        self.hashes = np.empty(0, dtype=np.uint64)  # sorted
+        self.reps = np.empty(0, dtype=np.int64)  # kept row of each hash's key
+        self.keys = []  # per level: key words of the kept items
+        self.kept = []  # per level: kept items
+        self.starts = np.zeros(1, dtype=np.int64)  # first kept row per level
         self.others = {}  # key bytes -> kept items after the first
+
+    def _rows(self, blocks, rows):
+        """The given kept rows of per-level blocks (self.keys or self.kept)."""
+        level = np.searchsorted(self.starts, rows, side="right") - 1
+        out = np.empty((len(rows),) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+        for lv in np.flatnonzero(np.bincount(level)).tolist():
+            at = level == lv
+            out[at] = blocks[lv][rows[at] - self.starts[lv]]
+        return out
+
+    def _lookup(self, words, hashes):
+        """The representative's kept row for each key, or -1 for a new key."""
+        found = np.full(len(hashes), -1, dtype=np.int64)
+        if not self.kept:
+            return found
+        q = np.argsort(hashes)  # sorted queries search much faster
+        h = hashes[q]
+        lo = np.searchsorted(self.hashes, h)
+        last = len(self.hashes) - 1
+        hit = self.hashes[np.minimum(lo, last)] == h
+        run = hit & (lo < last) & (self.hashes[np.minimum(lo + 1, last)] == h)
+        single = hit & ~run
+        one = q[single]
+        rows = self.reps[lo[single]]
+        match = np.all(self._rows(self.keys, rows) == words[one], axis=1)
+        found[one[match]] = rows[match]
+        if np.any(run):
+            # the index holds several keys with these hashes: match by bytes
+            many = q[run]
+            hi = np.searchsorted(self.hashes, h[run], side="right")
+            span = np.zeros(len(self.hashes) + 1, dtype=np.int64)
+            np.add.at(span, lo[run], 1)
+            np.add.at(span, hi, -1)
+            rows = self.reps[np.cumsum(span[:-1]) > 0]
+            both = np.concatenate([self._rows(self.keys, rows), words[many]])
+            _, inverse = np.unique(_byte_rows(both), return_inverse=True)
+            owner = np.full(len(both), -1, dtype=np.int64)
+            owner[inverse[:len(rows)]] = rows
+            found[many] = owner[inverse[len(rows):]]
+        return found
+
+    def _insert(self, hashes, rows):
+        """Merge new keys' hashes and representative rows into the index."""
+        order = np.argsort(hashes)
+        at = np.searchsorted(self.hashes, hashes[order])
+        self.hashes = np.insert(self.hashes, at, hashes[order])
+        self.reps = np.insert(self.reps, at, rows[order])
 
     def keep(self, keys, items):
         """Ascending indices of the items kept from one level, and the items."""
-        keys = np.ascontiguousarray(keys)
-        kv = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))[:, 0]
-        uniq, first, inv = np.unique(kv, return_index=True, return_inverse=True)
-        reps = items[first]
-        new = np.ones(len(uniq), dtype=bool)
-        for run_keys, run_rows, run_items in self.runs:
-            pos = np.minimum(np.searchsorted(run_keys, uniq), len(run_keys) - 1)
-            hit = run_keys[pos] == uniq
-            reps[hit] = run_items[run_rows[pos[hit]]]
-            new &= ~hit
+        words = np.ascontiguousarray(keys).view(np.uint64)
+        hashes = _key_hash(words)
+        first_of = _first_of_key(words, hashes)
+        first = np.flatnonzero(first_of == np.arange(len(items)))
+        found = self._lookup(words[first], hashes[first])
+        new = first[found < 0]
+        rep_row = np.full(len(items), -1, dtype=np.int64)
+        rep_row[first] = found
         kept = np.zeros(len(items), dtype=bool)
-        kept[first[new]] = True
+        kept[new] = True
         repeat = np.flatnonzero(~kept)
         differs = np.zeros(len(items), dtype=bool)
         for lo in range(0, len(repeat), 8192):  # bounds the temporaries
             c = repeat[lo:lo + 8192]
-            differs[c] = ~self.same(items[c], reps[inv[c]])
-        del reps
+            reps = items[first_of[c]]
+            rows = rep_row[first_of[c]]
+            earlier = np.flatnonzero(rows >= 0)
+            if len(earlier):
+                reps[earlier] = self._rows(self.kept, rows[earlier])
+            differs[c] = ~self.same(items[c], reps)
         for i in np.flatnonzero(differs):
-            others = self.others.setdefault(kv[i].tobytes(), [])
+            others = self.others.setdefault(words[i].tobytes(), [])
             if others and np.any(self.same(items[i], np.stack(others))):
                 continue
             others.append(items[i].copy())
             kept[i] = True
         idx = np.flatnonzero(kept)
         kept_items = items[idx]
-        if np.any(new):
-            self.runs.append((uniq[new], np.searchsorted(idx, first[new]), kept_items))
+        if len(idx):
+            start = self.starts[-1]
+            self.keys.append(words[idx])
+            self.kept.append(kept_items)
+            self.starts = np.append(self.starts, start + len(idx))
+            self._insert(hashes[new], start + np.searchsorted(idx, new))
         return idx, kept_items
 
 

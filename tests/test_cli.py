@@ -181,6 +181,56 @@ def test_dirichlet_bad_numeric_flag_exits_2(flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command,extra", [
+    ("dirichlet", ["--preset", "z2-lattice", "--radius", "2", "--rays", "300"]),
+    ("bend", ["--depth", "2"]),
+])
+def test_tol_must_be_finite_and_nonnegative(monkeypatch, command, extra, value):
+    # nan once gave dirichlet no sides and bend no passing probe, with exit 0
+    args = ["--command", command] + extra
+    for source in ("--tol", cli.TOL_ENV):
+        if source == "--tol":
+            rc, out, err = run_cli(args + [f"--tol={value}"])
+        else:
+            monkeypatch.setenv(cli.TOL_ENV, value)
+            rc, out, err = run_cli(args)
+        assert rc == 2 and out == "", err
+        info = json.loads(err)["error"]
+        assert info["type"] == "InputError"
+        assert info["message"].startswith(f"{source} must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--zeta", "--eta-grid"])
+def test_bend_nonfinite_angle_exits_2(flag, value):
+    rc, out, err = run_cli(["--command", "bend", "--depth", "2",
+                            f"{flag}={value}"])
+    assert rc == 2 and out == "", err
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError"
+    assert info["message"].startswith(f"{flag} must be finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_limitset_bad_radius_exits_2(value):
+    rc, out, err = run_cli(["--command", "limitset", "--preset", "fuchsian",
+                            "--depth", "2", f"--radius={value}"])
+    assert rc == 2 and out == "", err
+    assert json.loads(err)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("command", ["bend", "orbit", "limitset", "profile"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_depth_below_1_exits_2(command, depth):
+    preset = [] if command == "bend" else ["--preset", "fuchsian"]
+    rc, out, err = run_cli(["--command", command, "--depth", depth] + preset)
+    assert rc == 2 and out == "", err
+    info = json.loads(err)["error"]
+    assert info == {"type": "InputError", "message": "--depth must be >= 1",
+                    "exit": 2}
+
+
 def test_bend_grid_zero_single_row():
     data = payload_of(["--command", "bend", "--eta-grid", "0", "--depth", "2"])
     assert len(data["rows"]) == 1

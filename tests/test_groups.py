@@ -569,6 +569,64 @@ class TestDedupMatchesSequentialReference:
         assert decided_later > 0
 
 
+class TestDedupUnderDegenerateHash(TestDedupMatchesSequentialReference):
+    """The same comparisons with a key hash under which keys collide.
+
+    "constant" puts every key in one hash run, "two-bits" in four, and
+    "twelve-bits" leaves most runs single, so a new key often meets one
+    different key with its hash.  Every match is confirmed on the full
+    key, so the decisions must not change.
+    """
+
+    @pytest.fixture(autouse=True, params=["constant", "two-bits", "twelve-bits"])
+    def degenerate_hash(self, request, monkeypatch):
+        real = gr._key_hash
+        mask = {"constant": 0, "two-bits": 3, "twelve-bits": 0xFFF}[request.param]
+        monkeypatch.setattr(gr, "_key_hash",
+                            lambda words: real(words) & np.uint64(mask))
+
+
+# The fuchsian preset (t: x -> x + 1, s: x -> 1/x) is PGL(2, Z), and these
+# are its element counts by word length, from the exact oracle below.
+PGL2Z_LEVEL_COUNTS = [1, 3, 6, 12, 24, 43, 71, 116, 190, 312, 512, 838, 1370,
+                      2238, 3652, 5954, 9700, 15792, 25694, 41782, 67910, 110328]
+
+
+def ref_pgl2z_levels(max_len):
+    """Per length, the first words reaching each element of PGL(2, Z).
+
+    Breadth-first over integer 2x2 matrices modulo +-1, in the alphabet
+    order T, s, t of the fuchsian preset; a word multiplies its letters'
+    matrices left to right, as element_ball does.
+    """
+    letters = (("T", (1, -1, 0, 1)), ("s", (0, 1, 1, 0)), ("t", (1, 1, 0, 1)))
+    ident = (1, 0, 0, 1)
+    seen = {ident}
+    levels = [[("", ident)]]
+    for _ in range(max_len):
+        level = []
+        for word, (a, b, c, d) in levels[-1]:
+            for sym, (e, f, g, h) in letters:
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                if next(x for x in m if x) < 0:
+                    m = tuple(-x for x in m)
+                if m not in seen:
+                    seen.add(m)
+                    level.append((word + sym, m))
+        levels.append(level)
+    return [[word for word, _ in level] for level in levels]
+
+
+def test_fuchsian_ball_matches_exact_oracle_at_profile_budget():
+    # the CLI's profile budget, which runs out at length 22
+    levels, completed = gr.element_ball(ps.group_preset("fuchsian"), 28,
+                                        budget=400_000)
+    assert completed == 21
+    want = ref_pgl2z_levels(21)
+    assert [len(level) for level in want] == PGL2Z_LEVEL_COUNTS
+    assert [list(words) for words, _ in levels] == want
+
+
 def _near_pairs(seed, k, max_log_scale, shape):
     """Stacks a, b with b ~ phase * scale * a, each row at its own norm."""
     rng = np.random.default_rng(seed)

@@ -243,6 +243,8 @@ def _cmd_dirichlet(args, tol):
         raise InputError("--radius must be a positive enumeration radius")
     if args.seed < 0:
         raise InputError("--seed must be nonnegative")
+    if args.rays < 100:
+        raise InputError("--rays must be at least 100")
     census = dr.dirichlet_side_census(
         gens,
         _ball_origin(gens.dim),

@@ -135,12 +135,54 @@ def _halton(count, dim, seed=None):
     return out
 
 
+# Wichura's AS 241 (PPND16, Appl. Statist. 37, 1988): numerator and
+# denominator coefficients, highest degree first, of the central rational
+# approximation in r = 0.180625 - q^2 and of the two tail approximations
+# in r = sqrt(-log(min(p, 1 - p))) - 1.6 and - 5.
+_AS241 = (
+    ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+      4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+      1.3314166789178437745e2, 3.3871328727963666080e0),
+     (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+      2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+      4.2313330701600911252e1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+      4.63033784615654529590e0, 1.42343711074968357734e0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+      2.05319162663775882187e0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+      5.46378491116411436990e0, 6.65790464350110377720e0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+
+
+def _ndtri(p):
+    """Standard normal quantile of p in (0, 1), by AS 241 (about 1e-16 relative)."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    out = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    (num, den), near, far = _AS241
+    r = 0.180625 - q[central] ** 2
+    out[central] = q[central] * np.polyval(num, r) / np.polyval(den, r)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    for coefs, mask, shift in ((near, r <= 5.0, 1.6), (far, r > 5.0, 5.0)):
+        mask &= ~central
+        t = r[mask] - shift
+        out[mask] = np.copysign(np.polyval(coefs[0], t) / np.polyval(coefs[1], t),
+                                q[mask])
+    return out
+
+
 def _ray_directions(count, real_dim, seed=0):
     """Quasi-uniform unit directions via Gaussianized low-discrepancy points."""
-    from scipy.special import erfinv
-
     u = _halton(count, real_dim, seed=seed)
-    g = erfinv(np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12)) * np.sqrt(2.0)
+    g = _ndtri((np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12) + 1.0) / 2.0)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     return g / norms[:, None]
@@ -266,7 +308,7 @@ def _first_exit_census(
         best, m = best[keep], m[keep]
         least = np.full(len(words), np.inf)
         np.minimum.at(least, best, m)
-        sides = {words[g]: float(least[g]) for g in np.unique(best)}
+        sides = {words[g]: float(least[g]) for g in set(best.tolist())}
 
     side_words = tuple(sorted(sides))
     return SideCensus(

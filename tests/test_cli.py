@@ -41,16 +41,37 @@ def without_timestamp(text):
     return json.dumps(data, sort_keys=True)
 
 
-def test_import_leaves_scipy_stats_and_special_unloaded():
-    # every command is a fresh process; these two cost ~1 s of start-up
+def fresh_process_output(code):
+    """stdout of `code` run by a new interpreter that imports this source tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_leaves_scipy_stats_and_special_unloaded():
+    # every command is a fresh process; these two cost ~1 s of start-up
     code = ("import sys, chgeom.cli; "
             "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_process_output(code) == "[]"
+
+
+def test_censuses_load_neither_scipy_nor_numpy_ma():
+    # the census Gaussianizes its rays in numpy and lists sides without
+    # np.unique, whose first call imports numpy.ma
+    code = (
+        "import contextlib, io, sys\n"
+        "import chgeom.cli as cli, chgeom.dirichlet as dm, chgeom.presets as ps\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['--command', 'dirichlet', '--preset', 'z2-lattice',\n"
+        "                   '--radius', '3', '--rays', '300'])\n"
+        "dm.pullback_domain_sides(ps.group_preset('cyclic-vertical'),\n"
+        "                         'vertical-axis', 1.0, 3)\n"
+        "print(rc, [m for m in sys.modules\n"
+        "           if (m + '.').startswith(('scipy.', 'numpy.ma.'))])\n"
+    )
+    assert fresh_process_output(code) == "0 []"
 
 
 def test_classify_vertical_translation_preset():
@@ -172,7 +193,8 @@ def test_dirichlet_degenerate_center_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--radius", "nan"),
-                                        ("--radius", "inf")])
+                                        ("--radius", "inf"), ("--rays", "99"),
+                                        ("--rays", "0")])
 def test_dirichlet_bad_numeric_flag_exits_2(flag, value):
     rc, out, err = run_cli(["--command", "dirichlet", "--preset", "z2-lattice",
                             "--rays", "300", flag, value])

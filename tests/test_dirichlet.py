@@ -786,3 +786,54 @@ def test_prefix_cut_keeps_far_elements_where_the_squared_test_rounds():
             assert beaten(lift, dist)[0] == full[0, 0]
             counted += int(shrink > 0 and full[0, 0])
     assert counted > 0  # rounding does count g short of the midpoint
+
+
+# scipy is a test-only oracle: the package computes the normal quantile
+# itself (AS 241), so no chgeom process imports scipy
+
+
+def scipy_ray_directions(count, real_dim, seed=0):
+    """The census directions as computed with scipy's erfinv, kept as the oracle."""
+    from scipy.special import erfinv
+
+    u = dm._halton(count, real_dim, seed=seed)
+    g = erfinv(np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12)) * np.sqrt(2.0)
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0] = 1.0
+    return g / norms[:, None]
+
+
+def test_ndtri_matches_scipy():
+    from scipy.special import ndtri
+
+    p = np.random.default_rng(5).random(10**6)
+    # the clip bounds, both branch edges of AS 241 and the center
+    p = np.concatenate([p, [5e-13, 1 - 5e-13, 0.075, 0.925, 0.5]])
+    got, want = dm._ndtri(p), ndtri(p)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    assert np.array_equal(np.sign(got), np.sign(p - 0.5))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_ray_directions_match_the_erfinv_formula(dim):
+    for seed in (0, 1, 7):
+        got = dm._ray_directions(2000, dim, seed=seed)
+        want = scipy_ray_directions(2000, dim, seed=seed)
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+
+@pytest.mark.parametrize("preset,radius", [("z2-lattice", 6),
+                                           ("cyclic-vertical", 6),
+                                           ("schottky", 3)])
+def test_census_matches_erfinv_directions(monkeypatch, preset, radius):
+    gens = ps.group_preset(preset)
+    center = cli._ball_origin(gens.dim)
+    for seed in range(4):
+        got = dm.dirichlet_side_census(gens, center, radius, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(dm, "_ray_directions", scipy_ray_directions)
+            want = dm.dirichlet_side_census(gens, center, radius, seed=seed)
+        assert got.sides == want.sides
+        assert got.unbounded_ray_fraction == want.unbounded_ray_fraction
+        for w in want.sides:
+            assert abs(got.margins[w] - want.margins[w]) <= 1e-9 * want.margins[w]

@@ -174,12 +174,17 @@ def _resolve_group(args, allowed_presets, labeled=True):
         f"{', '.join(allowed_presets)} or a generator file path)")
 
 
-def _depth(args, default):
-    """--depth, or the command's default; a maximum word length is >= 1."""
-    depth = args.depth if args.depth is not None else default
-    if depth < 1:
+def _check_numeric_flags(args):
+    """Reject a numeric flag outside its domain, whether or not it is read."""
+    if args.radius is not None and not 0 < args.radius < np.inf:
+        raise InputError(f"--radius must be finite and positive, not {args.radius!r}")
+    _finite(args.zeta, "--zeta")
+    if args.seed < 0:
+        raise InputError("--seed must be nonnegative")
+    if args.rays < 100:
+        raise InputError("--rays must be at least 100")
+    if args.depth is not None and args.depth < 1:
         raise InputError("--depth must be >= 1")
-    return depth
 
 
 def _meta(args, **extra):
@@ -239,12 +244,8 @@ def _cmd_classify(args, tol):
 def _cmd_dirichlet(args, tol):
     gens = _resolve_group(args, ps.DIRICHLET_PRESETS)
     radius = args.radius if args.radius is not None else 6
-    if not 1 <= radius < np.inf:
-        raise InputError("--radius must be a positive enumeration radius")
-    if args.seed < 0:
-        raise InputError("--seed must be nonnegative")
-    if args.rays < 100:
-        raise InputError("--rays must be at least 100")
+    if radius < 1 or radius != int(radius):
+        raise InputError("--radius must be an integral enumeration radius >= 1")
     census = dr.dirichlet_side_census(
         gens,
         _ball_origin(gens.dim),
@@ -272,14 +273,8 @@ def _cmd_bend(args, tol):
     spec = ps.bend_preset(preset)
     _check_n(args, spec.g_alpha.n, f"preset {preset}")
     grid = _parse_eta_grid(args.eta_grid)
-    depth = _depth(args, 5)
-    report = bd.bend_sweep(
-        spec,
-        grid,
-        zeta=_finite(args.zeta, "--zeta"),
-        probe_tol=tol,
-        limit_depth=depth,
-    )
+    report = bd.bend_sweep(spec, grid, zeta=args.zeta, probe_tol=tol,
+                           limit_depth=args.depth or 5)
     rows = []
     for row in report.rows:
         rows.append({
@@ -317,8 +312,7 @@ def _finite(value, flag):
 
 def _cmd_orbit(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = _depth(args, 4)
-    orbit = gr.orbit_enumerate(gens, depth, _ball_origin(gens.dim))
+    orbit = gr.orbit_enumerate(gens, args.depth or 4, _ball_origin(gens.dim))
     points = _points_payload(orbit.lifts, word=orbit.words,
                              word_length=orbit.word_lengths.tolist(),
                              distance=orbit.distances.tolist())
@@ -327,9 +321,7 @@ def _cmd_orbit(args, tol):
 
 def _cmd_limitset(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = _depth(args, 6)
-    if args.radius is not None and not 0 < args.radius < np.inf:
-        raise InputError("--radius must be a positive window radius")
+    depth = args.depth or 6
     seeds = ps.boundary_seeds(25, seed=args.seed)
     cloud = gr.limit_set_sample(gens, depth, seeds)
     xi = cloud.xi
@@ -370,7 +362,7 @@ def _cmd_packing(args, tol):
 
 def _cmd_profile(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    depth = _depth(args, 10)
+    depth = args.depth or 10
     rows = gr.word_metric_profile(gens, depth, budget=400000)
     return {
         "meta": _meta(args, depth=int(depth)),
@@ -488,6 +480,7 @@ def main(argv=None):
             raise InputError(
                 f"format {args.format!r} is not available for {args.command} "
                 f"(choose from {', '.join(_FORMATS[args.command])})")
+        _check_numeric_flags(args)
         tol = _resolve_tol(args)
         payload = _DISPATCH[args.command](args, tol)
         text = _render(args, payload)

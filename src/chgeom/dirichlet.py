@@ -1,31 +1,28 @@
 """Bisectors, Dirichlet side censuses, and parabolic slice domains.
 
-Both censuses run one first-exit kernel, `_first_exit_census`.  It marches
-a batch of rays outward in lockstep until each is beaten, that is, until
-some enumerated orbit image of the center is nearer than the center
-itself; it bisects that first exit, and at the witness it certifies the
-nearest image as a side when it beats the runner-up by a strictness
-margin.  A census supplies its rays as a function path(dirs, t) that
-returns, for a batch of directions and a parameter t (one scalar, or one
-value per ray), the lifts of the points reached and their distances to
-the center:
+A census follows rays from the center to their first exit, where some
+enumerated orbit image of the center becomes nearer than the center itself.
+There, at the witness, it certifies the nearest image as a side when it
+beats the runner-up by a strictness margin.  Only witnesses take Bergman
+distances to the orbit.
 
-- the ball census conjugates the center to the ball-model origin, where
-  geodesic rays are affine chords along quasi-uniform directions u; t is
-  the distance itself and the lifts (sinh(t/2) u, cosh(t/2)) have form
-  norm -1, which the witnesses use instead of recomputing it;
-- the slice census walks straight lines in the coordinates of an
-  invariant slice (see parabolic_projection); t is the slice coordinate
-  and the distance is the ambient Bergman distance.
+The ball census conjugates the center to the ball-model origin, where the
+ray along a unit direction u has lifts x(s) = (sinh(s/2) u, cosh(s/2)) of
+form norm -1, and solves for each exit in closed form.  As cosh^2(d(x, y)/2)
+= |<x, y>|^2 / (<x, x> <y, y>), an image w = (w', w_n) of form norm -kappa
+beats x(s) when |<x, w>|^2 < kappa cosh^2(s/2).  With z = w'/w_n, the ball
+coordinates of w, rho = u . conj(z), eps = kappa / |w_n|^2 = 1 - |z|^2,
+P = rho - 1, Q = rho + 1 and q = e^-s, that is f(q) < 0 for
 
-The march and the bisection never compute a distance to the orbit.  Since
-cosh^2(d(x, y)/2) = |<x, y>|^2 / (<x, x> <y, y>), a point x is beaten when
-min_g |<x, g c>|^2 < |<x, c>|^2 <gc, gc> / <c, c>, where the norm of x
-cancels.  By the triangle inequality only g with d(c, g c) < 2 d(x, c)
-can beat x, so the orbit is sorted once by d(c, g c) and each batch scans
-the prefix below twice its largest distance to the center, widened by a
-slack that rounding cannot cross (_prefix_cut).  Only the witnesses take
-Bergman distances, over the whole orbit, for their margins.
+    f(q) = (|Q|^2 - eps) q^2 - 2 (Re(P conj Q) + eps) q + |P|^2 - eps.
+
+f(1) = 4 |z|^2 > 0 unless w fixes the center, which the census rejects, so
+the exit is at s = -log q for the largest root q < 1 over the orbit.
+
+The slice census walks straight lines in the coordinates of an invariant
+slice (see parabolic_projection), which are not geodesics.  It marches them
+in steps of STEP against min_g |<x, g c>|^2 < |<x, c>|^2 <gc, gc> / <c, c>,
+in which the norm of x cancels, and bisects each exit to BISECTION_TOL.
 
 The census is a lower-bound certificate over the enumerated ball, never a
 completeness claim.
@@ -50,7 +47,7 @@ DEFAULT_RAYS = 2000
 STEP = 0.05
 BISECTION_TOL = 1e-9
 SIDE_MARGIN = 1e-6
-PREFIX_SLACK = 1e-9
+_EXIT_CHUNK = 1024  # rays per product with the orbit, to bound temporaries
 
 
 @dataclass(frozen=True)
@@ -209,67 +206,92 @@ def _census_orbit(gens, enum_radius, budget):
     return words, np.concatenate([stack for _, stack in levels[1:]])
 
 
-def _prefix_cut(d, dim):
-    """Bound on d(c, g c) for the g that can beat a point x with d(x, c) <= d.
+def _horizon(words, base_lift, orbit_lifts, norm):
+    """Distance past which a ray is unbounded; rejects a fixed center."""
+    base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
+    if np.min(base_d) <= 1e-10:
+        w = words[int(np.argmin(base_d))]
+        raise DegenerateCenterError(f"center is fixed by the nontrivial element {w!r}")
+    return float(np.max(base_d)) / 2.0 + 4.0
 
-    The triangle inequality gives 2 d.  The slack covers the rounding of
-    base_d and d, and that of the squared test, whose relative error near
-    the geodesic from c to g c grows like eps e^d in dimension `dim`.
+
+def _certify(words, dist, nrays, margin, enum_radius):
+    """SideCensus from the witnesses' distances to the orbit, one row each."""
+    best = np.argmin(dist, axis=1)
+    second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
+              else np.inf)
+    m = second - dist[np.arange(dist.shape[0]), best]
+    keep = m >= margin
+    best, m = best[keep], m[keep]
+    least = np.full(len(words), np.inf)
+    np.minimum.at(least, best, m)
+    sides = {words[g]: float(least[g]) for g in set(best.tolist())}
+    side_words = tuple(sorted(sides))
+    return SideCensus(
+        sides=side_words,
+        margins={w: sides[w] for w in side_words},
+        rays_used=nrays,
+        enumeration_radius=enum_radius,
+        unbounded_ray_fraction=(nrays - dist.shape[0]) / nrays,
+    )
+
+
+def _ball_exits(dirs, orbit_lifts, norm):
+    """Distance from the center, at the ball origin, to each ray's first exit:
+    the module docstring's f(q) over the orbit lifts (inf if no root)."""
+    n = orbit_lifts.shape[1] - 1
+    last = orbit_lifts[:, -1]
+    zbar = np.conj(orbit_lifts[:, :-1] / last[:, None]).T
+    eps = -norm / (last.real ** 2 + last.imag ** 2)
+    u = dirs[:, :n] + 1j * dirs[:, n:]
+    q = np.empty(dirs.shape[0])
+    for lo in range(0, dirs.shape[0], _EXIT_CHUNK):
+        rho = u[lo : lo + _EXIT_CHUNK] @ zbar
+        x = rho.real
+        y2 = rho.imag ** 2
+        # f = a q^2 - 2 b q + c has b^2 - a c = 4 h^2 for
+        # h^2 = eps |rho|^2 - Im(rho)^2, and changes sign only where h^2 > 0
+        h = (x * x + y2) * eps - y2
+        crossing = h > 0.0
+        np.sqrt(h, out=h, where=crossing)
+        p = x - 1.0
+        c = p * p + y2 - eps
+        # b = |rho|^2 - |z|^2 <= 0 (Cauchy-Schwarz), so t = b - 2 h does not
+        # cancel, and c / t is the root largest below 1 whatever the sign of a
+        t = p * (x + 1.0) + y2 + eps - 2.0 * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = c / t
+        # rounding alone can put a root at or above 1
+        root[~crossing | ~(root < 1.0)] = 0.0
+        q[lo : lo + _EXIT_CHUNK] = np.max(root, axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        return -np.log(q)
+
+
+def _first_exit_census(words, base_lift, orbit_lifts, norm, path, dirs, t_max,
+                       margin, enum_radius):
+    """March, bisect and certify the first bisector exit of every slice ray.
+
+    orbit_lifts, of form norm `norm`, are the images of base_lift under
+    `words`.  path(dirs, t) gives the lifts reached at parameter t (a scalar
+    or one per ray) and their distances to the center.  An unbeaten ray
+    drops out past the horizon or at parameter t_max(horizon).
     """
-    noise = 8.0 * dim * np.finfo(float).eps * math.exp(min(d, 700.0))
-    return 2.0 * d + PREFIX_SLACK * (1.0 + 2.0 * d) + noise
-
-
-def _exit_test(base_lift, orbit_lifts, norm, base_d):
-    """beaten(lifts, d_center): is some orbit image nearer than the center?
-
-    Squared inner products over the orbit sorted by base_d, cut below
-    _prefix_cut of the largest d_center (see the module docstring); nothing
-    is divided, square rooted or arccosh'd per (ray, orbit point) pair.
-    """
-    dim = base_lift.shape[0]
-    j = np.ones(dim)
+    horizon = _horizon(words, base_lift, orbit_lifts, norm)
+    t_max = t_max(horizon)
+    j = np.ones(base_lift.shape[0])
     j[-1] = -1.0
-    order = np.argsort(base_d, kind="stable")
-    bound = base_d[order]
-    rows = np.ascontiguousarray(np.conj(orbit_lifts[order] * j))
+    rows = np.ascontiguousarray(np.conj(orbit_lifts * j))
     own_row = np.conj(base_lift * j)
     scale = norm / float(core.herm_inner(base_lift, base_lift).real)
 
-    def beaten(lifts, d_center):
-        k = int(np.searchsorted(bound, _prefix_cut(float(np.max(d_center)), dim)))
-        if k == 0:
-            return np.zeros(lifts.shape[0], dtype=bool)
-        inner = (lifts @ rows[:k].T).view(float)
+    def beaten(lifts):
+        # is some image nearer than the center?  (module docstring)
+        inner = (lifts @ rows.T).view(float)
         inner *= inner
         nearest = np.min(inner[:, 0::2] + inner[:, 1::2], axis=1)
         own = lifts @ own_row
         return nearest < (own.real ** 2 + own.imag ** 2) * scale
-
-    return beaten
-
-
-def _first_exit_census(
-    words, base_lift, orbit_lifts, norm, path, dirs, t_max, margin, enum_radius,
-    path_norm=None,
-):
-    """March, bisect and certify the first bisector exit of every ray.
-
-    base_lift is the center and orbit_lifts its images under `words`, of
-    form norm `norm`; path_norm is the norm of every path lift when it is
-    known (None recomputes it per witness).  A ray that is not beaten
-    drops out once its distance to the center passes the horizon or its
-    parameter reaches t_max(horizon).
-    """
-    base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
-    if np.min(base_d) <= 1e-10:
-        k = int(np.argmin(base_d))
-        raise DegenerateCenterError(
-            f"center is fixed by the nontrivial element {words[k]!r}"
-        )
-    horizon = float(np.max(base_d)) / 2.0 + 4.0
-    t_max = t_max(horizon)
-    beaten = _exit_test(base_lift, orbit_lifts, norm, base_d)
 
     # lockstep march: find the first step at which each ray is beaten
     nrays = dirs.shape[0]
@@ -280,44 +302,22 @@ def _first_exit_census(
     while active.size and t < t_max:
         t_next = min(t + STEP, t_max)
         lifts, d_center = path(dirs[active], t_next)
-        hit = beaten(lifts, d_center)
+        hit = beaten(lifts)
         hi[active[hit]] = t_next
         lo[active[~hit]] = t_next
         active = active[~hit & (d_center <= horizon)]
         t = t_next
 
-    crossed = ~np.isnan(hi)
-    sides = {}
-    idx = np.nonzero(crossed)[0]
-    if idx.size:
-        a = lo[idx].copy()
-        b = hi[idx].copy()
-        d_sub = dirs[idx]
-        while np.max(b - a) > BISECTION_TOL:
-            mid = 0.5 * (a + b)
-            hit = beaten(*path(d_sub, mid))
-            b[hit] = mid[hit]
-            a[~hit] = mid[~hit]
-        witness, _ = path(d_sub, 0.5 * (a + b))
-        dist = core._bergman_distances(witness, orbit_lifts, norm, path_norm)
-        best = np.argmin(dist, axis=1)
-        second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
-                  else np.inf)
-        m = second - dist[np.arange(idx.size), best]
-        keep = m >= margin  # borderline witnesses are discarded
-        best, m = best[keep], m[keep]
-        least = np.full(len(words), np.inf)
-        np.minimum.at(least, best, m)
-        sides = {words[g]: float(least[g]) for g in set(best.tolist())}
-
-    side_words = tuple(sorted(sides))
-    return SideCensus(
-        sides=side_words,
-        margins={w: sides[w] for w in side_words},
-        rays_used=nrays,
-        enumeration_radius=enum_radius,
-        unbounded_ray_fraction=int(np.sum(~crossed)) / nrays,
-    )
+    idx = np.nonzero(~np.isnan(hi))[0]
+    a, b, d_sub = lo[idx], hi[idx], dirs[idx]
+    while idx.size and np.max(b - a) > BISECTION_TOL:
+        mid = 0.5 * (a + b)
+        hit = beaten(path(d_sub, mid)[0])
+        b[hit] = mid[hit]
+        a[~hit] = mid[~hit]
+    witness, _ = path(d_sub, 0.5 * (a + b))
+    dist = core._bergman_distances(witness, orbit_lifts, norm)
+    return _certify(words, dist, nrays, margin, enum_radius)
 
 
 def dirichlet_side_census(
@@ -331,11 +331,11 @@ def dirichlet_side_census(
 ):
     """First-exit side census of the Dirichlet domain centered at `center`.
 
-    Marches `rays` quasi-uniform geodesic rays from the center until each
-    first leaves the half-space of some enumerated element, refines the
-    exit by bisection, and keeps the beating element when it wins by the
-    strictness margin at the witness.  Rays reaching the horizon without a
-    beater are reported in unbounded_ray_fraction.
+    Follows `rays` quasi-uniform geodesic rays from the center, solves in
+    closed form for the point where each first leaves the half-space of
+    some enumerated element, and keeps the beating element when it wins by
+    the strictness margin there.  Rays with no exit short of the horizon
+    are reported in unbounded_ray_fraction.
     """
     if rays < 100:
         raise ParameterError("need at least 100 rays")
@@ -349,13 +349,13 @@ def dirichlet_side_census(
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
+    horizon = _horizon(words, origin, orbit_lifts, cnorm)
     dirs = _ray_directions(rays, 2 * (orbit_lifts.shape[1] - 1), seed=seed)
-    # rays from the origin are unit-speed: the parameter is the distance
-    return _first_exit_census(
-        words, origin, orbit_lifts, cnorm,
-        lambda sub_dirs, s: (_chord_lifts(sub_dirs, s), s),
-        dirs, lambda horizon: horizon, margin, enum_radius, path_norm=-1.0,
-    )
+    s = _ball_exits(dirs, orbit_lifts, cnorm)
+    crossed = s < horizon
+    witness = _chord_lifts(dirs[crossed], s[crossed])  # of form norm -1
+    dist = core._bergman_distances(witness, orbit_lifts, cnorm, -1.0)
+    return _certify(words, dist, rays, margin, enum_radius)
 
 
 def parabolic_projection(p, model, u0):

@@ -193,14 +193,44 @@ def test_dirichlet_degenerate_center_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--radius", "nan"),
-                                        ("--radius", "inf"), ("--rays", "99"),
-                                        ("--rays", "0")])
+                                        ("--radius", "inf"), ("--radius", "2.5"),
+                                        ("--rays", "99"), ("--rays", "0")])
 def test_dirichlet_bad_numeric_flag_exits_2(flag, value):
     rc, out, err = run_cli(["--command", "dirichlet", "--preset", "z2-lattice",
                             "--rays", "300", flag, value])
     assert rc == 2, err
     assert json.loads(err)["error"]["type"] == "InputError"
     assert out == ""
+
+
+_PRESET_OF = {"classify": "schottky", "dirichlet": "z2-lattice",
+              "bend": "hnn-bend", "orbit": "z2-lattice", "limitset": "fuchsian",
+              "packing": "two-sphere", "profile": "dilation"}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--radius", "nan"), ("--radius", "inf"), ("--radius", "0"),
+    ("--radius", "-1"), ("--zeta", "nan"), ("--zeta", "-inf"),
+    ("--seed", "-1"), ("--rays", "99"), ("--depth", "0"),
+])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_bad_numeric_flag_exits_2_in_every_command(command, flag, value):
+    # checked before dispatch, whether or not the command reads the flag
+    rc, out, err = run_cli(["--command", command, "--preset", _PRESET_OF[command],
+                            f"{flag}={value}"])
+    assert rc == 2 and out == "", err
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError"
+    assert info["message"].startswith(flag)
+
+
+def test_valid_unread_flags_are_ignored():
+    # every CLI benchmark step gets --seed, whether or not it reads it
+    args = ["--command", "profile", "--preset", "dilation", "--depth", "3"]
+    want = payload_of(args)["rows"]
+    got = payload_of(args + ["--seed", "7", "--rays", "100", "--radius", "2.5",
+                             "--zeta", "0.3"])["rows"]
+    assert got == want
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])

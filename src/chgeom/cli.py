@@ -282,9 +282,9 @@ def _cmd_bend(args, tol):
             "cartan_alpha": float(row.cartan_alpha) + 0.0,
             "probe_pass": bool(row.probe_passed),
             "min_word_gap": float(row.min_word_gap),
-            "limit_xi_re": [float(x) for x in row.limit_points.xi[:, 0].real],
-            "limit_xi_im": [float(x) for x in row.limit_points.xi[:, 0].imag],
-            "limit_v": [float(x) for x in row.limit_points.v],
+            "limit_xi_re": row.limit_points.xi[:, 0].real.tolist(),
+            "limit_xi_im": row.limit_points.xi[:, 0].imag.tolist(),
+            "limit_v": row.limit_points.v.tolist(),
         })
     return {
         "meta": _meta(args, zeta=float(args.zeta)),
@@ -331,14 +331,8 @@ def _cmd_limitset(args, tol):
         xi, v = xi[keep], v[keep]
     return {
         "meta": _meta(args, depth=int(depth)),
-        "points": [
-            {
-                "xi_re": [float(x) for x in xi[k].real],
-                "xi_im": [float(x) for x in xi[k].imag],
-                "v": float(v[k]),
-            }
-            for k in range(xi.shape[0])
-        ],
+        "points": [{"xi_re": re, "xi_im": im, "v": h} for re, im, h in
+                   zip(xi.real.tolist(), xi.imag.tolist(), v.tolist())],
     }
 
 

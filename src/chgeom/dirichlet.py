@@ -198,24 +198,26 @@ def _chord_lifts(directions, s):
 
 
 def _census_orbit(gens, enum_radius, budget):
-    """Words and matrices of the nontrivial elements of the word ball."""
+    """spell(rows), the words of the given rows of mats, and mats, the
+    matrices of the nontrivial elements of the word ball."""
     levels = gr._complete_ball(gens, enum_radius, budget)
-    words = [w for ws, _ in levels[1:] for w in ws]
-    if not words:
+    if len(levels) == 1:
         raise DegenerateInputError("no nontrivial elements to census")
-    return words, np.concatenate([stack for _, stack in levels[1:]])
+    words = gr.Words(gens, levels)  # the identity is its element 0
+    return (lambda rows: words.take(np.add(rows, 1)),
+            np.concatenate([stack for _, stack in levels[1:]]))
 
 
-def _horizon(words, base_lift, orbit_lifts, norm):
+def _horizon(spell, base_lift, orbit_lifts, norm):
     """Distance past which a ray is unbounded; rejects a fixed center."""
     base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
     if np.min(base_d) <= 1e-10:
-        w = words[int(np.argmin(base_d))]
+        w = spell([np.argmin(base_d)])[0]
         raise DegenerateCenterError(f"center is fixed by the nontrivial element {w!r}")
     return float(np.max(base_d)) / 2.0 + 4.0
 
 
-def _certify(words, dist, nrays, margin, enum_radius):
+def _certify(spell, dist, nrays, margin, enum_radius):
     """SideCensus from the witnesses' distances to the orbit, one row each."""
     best = np.argmin(dist, axis=1)
     second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
@@ -223,9 +225,10 @@ def _certify(words, dist, nrays, margin, enum_radius):
     m = second - dist[np.arange(dist.shape[0]), best]
     keep = m >= margin
     best, m = best[keep], m[keep]
-    least = np.full(len(words), np.inf)
+    least = np.full(dist.shape[1], np.inf)
     np.minimum.at(least, best, m)
-    sides = {words[g]: float(least[g]) for g in set(best.tolist())}
+    g = sorted(set(best.tolist()))
+    sides = dict(zip(spell(g), least[g].tolist()))
     side_words = tuple(sorted(sides))
     return SideCensus(
         sides=side_words,
@@ -268,16 +271,17 @@ def _ball_exits(dirs, orbit_lifts, norm):
         return -np.log(q)
 
 
-def _first_exit_census(words, base_lift, orbit_lifts, norm, path, dirs, t_max,
+def _first_exit_census(spell, base_lift, orbit_lifts, norm, path, dirs, t_max,
                        margin, enum_radius):
     """March, bisect and certify the first bisector exit of every slice ray.
 
     orbit_lifts, of form norm `norm`, are the images of base_lift under
-    `words`.  path(dirs, t) gives the lifts reached at parameter t (a scalar
-    or one per ray) and their distances to the center.  An unbeaten ray
-    drops out past the horizon or at parameter t_max(horizon).
+    the elements whose words spell(rows) gives.  path(dirs, t) gives the
+    lifts reached at parameter t (a scalar or one per ray) and their
+    distances to the center.  An unbeaten ray drops out past the horizon
+    or at parameter t_max(horizon).
     """
-    horizon = _horizon(words, base_lift, orbit_lifts, norm)
+    horizon = _horizon(spell, base_lift, orbit_lifts, norm)
     t_max = t_max(horizon)
     j = np.ones(base_lift.shape[0])
     j[-1] = -1.0
@@ -317,7 +321,7 @@ def _first_exit_census(words, base_lift, orbit_lifts, norm, path, dirs, t_max,
         a[~hit] = mid[~hit]
     witness, _ = path(d_sub, 0.5 * (a + b))
     dist = core._bergman_distances(witness, orbit_lifts, norm)
-    return _certify(words, dist, nrays, margin, enum_radius)
+    return _certify(spell, dist, nrays, margin, enum_radius)
 
 
 def dirichlet_side_census(
@@ -341,7 +345,7 @@ def dirichlet_side_census(
         raise ParameterError("need at least 100 rays")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
-    words, mats = _census_orbit(gens, enum_radius, budget)
+    spell, mats = _census_orbit(gens, enum_radius, budget)
 
     back = _ball_frame(center).inverse().matrix
     # stacked matrix-vector products: bit for bit those of a per-matrix loop
@@ -349,13 +353,13 @@ def dirichlet_side_census(
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
-    horizon = _horizon(words, origin, orbit_lifts, cnorm)
+    horizon = _horizon(spell, origin, orbit_lifts, cnorm)
     dirs = _ray_directions(rays, 2 * (orbit_lifts.shape[1] - 1), seed=seed)
     s = _ball_exits(dirs, orbit_lifts, cnorm)
     crossed = s < horizon
     witness = _chord_lifts(dirs[crossed], s[crossed])  # of form norm -1
     dist = core._bergman_distances(witness, orbit_lifts, cnorm, -1.0)
-    return _certify(words, dist, rays, margin, enum_radius)
+    return _certify(spell, dist, rays, margin, enum_radius)
 
 
 def parabolic_projection(p, model, u0):
@@ -458,7 +462,7 @@ def pullback_domain_sides(
 
 
 def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
-    words, mats = _census_orbit(gens, enum_radius, budget)
+    spell, mats = _census_orbit(gens, enum_radius, budget)
     dim = _model_dim(model)
     n = gens.dim - 1
     ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift
@@ -478,6 +482,6 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     # slice paths are not unit-speed geodesics; march the slice coordinate
     # until the ambient distance to the center clears the horizon
     return _first_exit_census(
-        words, ylift, mats @ ylift, ynorm, path, dirs,
+        spell, ylift, mats @ ylift, ynorm, path, dirs,
         lambda horizon: horizon * 3.0 + 10.0, margin, enum_radius,
     )

@@ -3,9 +3,12 @@
 A group is given by labeled generators; inverse labels are the swapcase of
 the generator label, and labels listed as involutive are their own inverse.
 Word enumeration is breadth-first over reduced words with deterministic
-lexicographic ordering and is vectorized over stacked matrices.  An orbit
-is one columnar `Orbit` (words, word lengths, a lift stack, distances to
-the basepoint) in that order; nothing is built per point.
+lexicographic ordering.  A level of the ball is columnar: (parent, symbol)
+links into the previous level and alphabet, and a matrix stack built with
+one matrix product per symbol.  Word strings are spelled by `Words`, from
+the links, only for the elements a caller reads.  An orbit is one columnar
+`Orbit` (word lengths, a lift stack, distances to the basepoint, and the
+words on demand) in that order; nothing is built per point.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
@@ -22,6 +25,7 @@ orbit points whose lifts agree to rounding merge though distinct.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,25 +102,61 @@ class GroupGens:
         return label if label in self.involutive else label.swapcase()
 
 
+class Words:
+    """The words of a ball's elements, spelled on demand.
+
+    Elements are numbered level by level in the order of element_ball's
+    levels, so level k holds elements starts[k] to starts[k + 1] - 1.  A
+    word is its parent's word followed by its symbol: `take` walks the
+    (parent, symbol) links back to the identity, a level at a time.
+    """
+
+    def __init__(self, gens, levels):
+        self.symbols = np.array([s for s, _ in gens.alphabet()])
+        self.links = [links for links, _ in levels]
+        self.starts = np.cumsum([0] + [len(links) for links in self.links])
+
+    def take(self, index):
+        """The words, as a list of str, of the elements with these indices."""
+        index = np.asarray(index, dtype=np.int64)
+        length = np.searchsorted(self.starts, index, side="right") - 1
+        words = np.full(len(index), "", dtype=object)
+        for k in set(length.tolist()) - {0}:
+            at = np.flatnonzero(length == k)
+            rows = index[at] - self.starts[k]
+            letters = np.empty((len(at), k), dtype=self.symbols.dtype)
+            for lv in range(k, 0, -1):
+                rows, sym = self.links[lv][rows].T
+                letters[:, lv - 1] = self.symbols[sym]
+            words[at] = letters.view((np.str_, k))[:, 0].tolist()
+        return words.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """Orbit points as columns; row i is one point.
 
-    words[i] is the first word reaching the point, word_lengths[i] its
-    length, lifts[i] a lift (the stack is validated as one batch) and
-    distances[i] the Bergman distance to the basepoint.
+    word_lengths[i] is the length of the first word reaching the point,
+    lifts[i] a lift (the stack is validated as one batch), distances[i] the
+    Bergman distance to the basepoint, and elements[i] the index of that
+    word's element in ball_words.  `words` spells the words on first use.
     """
 
-    words: tuple
     word_lengths: np.ndarray
     lifts: np.ndarray
     distances: np.ndarray
+    elements: np.ndarray
+    ball_words: Words
 
     def __post_init__(self):
         object.__setattr__(self, "lifts", core._checked_lifts(self.lifts, ndim=2))
 
     def __len__(self):
-        return len(self.words)
+        return len(self.word_lengths)
+
+    @cached_property
+    def words(self):
+        return tuple(self.ball_words.take(self.elements))
 
 
 class HeisCloud:
@@ -333,11 +373,14 @@ class _FirstKept:
 def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     """Breadth-first reduced-word ball of group elements.
 
-    Returns (levels, completed) where levels[k] = (words, matrix stack) for
+    Returns (levels, completed) where levels[k] = (links, matrix stack) for
     word length k, ordered lexicographically, and completed is the largest
-    length fully enumerated (== max_len unless the budget ran out).
-    Element dedup keeps the first (shortest, then lexicographically first)
-    word for each group element.
+    length fully enumerated (== max_len unless the budget ran out).  Row i
+    of the (m, 2) int array links is (parent, symbol): element i of level k
+    is element parent of level k - 1 times the matrix of symbol, an index
+    into gens.alphabet().  The identity's links are (-1, -1).  `Words`
+    spells the words from the links.  Element dedup keeps the first
+    (shortest, then lexicographically first) word for each group element.
     """
     alpha = gens.alphabet()
     symbols = [s for s, _ in alpha]
@@ -348,9 +391,8 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     d = gens.dim
 
     ident = np.eye(d, dtype=complex)
-    levels = [(("",), ident[None, :, :])]
-    words = ("",)
     stack = ident[None, :, :]
+    levels = [(np.full((1, 2), -1), stack)]
     last = np.array([-1])
     total = 1
     if dedup:
@@ -359,27 +401,28 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
 
     for length in range(1, max_len + 1):
         # children in word order: by parent, then by symbol
-        parent, sym = np.nonzero(last[:, None] != inv_idx)
-        if len(parent) == 0:
+        links = np.argwhere(last[:, None] != inv_idx)
+        if len(links) == 0:
             return levels, max_len
-        if total + len(parent) > budget:
+        if total + len(links) > budget:
             return levels, length - 1
-        cand_m = np.empty((len(parent), d, d), dtype=complex)
+        parent, sym = links.T
+        cand_m = np.empty((len(links), d, d), dtype=complex)
         for si in range(len(symbols)):
-            rows = sym == si
-            cand_m[rows] = stack[parent[rows]] @ mats[si]
+            rows = np.flatnonzero(sym == si)
+            # one (d k, d) @ (d, d) product, bit for bit the k stacked ones
+            cand_m[rows] = (stack[parent[rows]].reshape(-1, d) @ mats[si]
+                            ).reshape(-1, d, d)
         if dedup:
             keep, cand_m = seen.keep(
                 _canonical_rows(cand_m.reshape(len(cand_m), -1)), cand_m)
             if len(keep) == 0:
                 return levels, max_len
-            parent, sym = parent[keep], sym[keep]
-        words = tuple([words[i] + symbols[s]
-                       for i, s in zip(parent.tolist(), sym.tolist())])
-        total += len(words)
-        levels.append((words, cand_m))
+            links = links[keep]
+        total += len(links)
+        levels.append((links, cand_m))
         stack = cand_m
-        last = sym
+        last = links[:, 1]
     return levels, max_len
 
 
@@ -414,18 +457,20 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
 
     levels = _complete_ball(gens, max_len, budget)
     base = basepoint.lift
+    d = len(base)
     norm = float(core.herm_inner(base, base).real)
     seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL)
-    columns = []  # per level: kept words, lifts and distances
-    for words, stack in levels:
-        lifts = stack @ base
+    ball_words = Words(gens, levels)
+    columns = []  # per level: kept ball elements, lifts and distances
+    for start, (_, stack) in zip(ball_words.starts, levels):
+        lifts = (stack.reshape(-1, d) @ base).reshape(-1, d)
         # the lifts are images of the basepoint, so every norm is its norm
         dists = core._bergman_distances(lifts, base[None, :], norm, norm)[:, 0]
         keep, kept = seen.keep(_canonical_rows(lifts), lifts)
-        columns.append((np.asarray(words, dtype=object)[keep], kept, dists[keep]))
-    words, lifts, dists = (np.concatenate(c) for c in zip(*columns))
+        columns.append((start + keep, kept, dists[keep]))
+    elements, lifts, dists = (np.concatenate(c) for c in zip(*columns))
     lengths = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
-    return Orbit(tuple(words), lengths, lifts, dists)
+    return Orbit(lengths, lifts, dists, elements, ball_words)
 
 
 def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
@@ -547,17 +592,14 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     if depth < 1:
         raise ParameterError("depth must be >= 1")
     levels = _complete_ball(gens, depth, budget)
-    _, stack = levels[depth] if depth < len(levels) else ((), None)
-    if stack is None or len(stack) == 0:
+    if depth >= len(levels):
         raise DegenerateInputError("no reduced words at the requested depth")
-    xi_parts = []
-    v_parts = []
-    for seed in seeds:
-        lifts = stack @ seed.lift
-        _, xi, v, _ = hb._lift_coords(lifts, 1e-9)
-        xi_parts.append(xi)
-        v_parts.append(v)
-    return HeisCloud(np.concatenate(xi_parts), np.concatenate(v_parts))
+    _, stack = levels[depth]
+    flat = stack.reshape(-1, gens.dim)  # one matrix-vector product per seed
+    coords = [hb._lift_coords((flat @ seed.lift).reshape(len(stack), -1), 1e-9)
+              for seed in seeds]
+    return HeisCloud(np.concatenate([xi for _, xi, _, _ in coords]),
+                     np.concatenate([v for _, _, v, _ in coords]))
 
 
 @dataclass(frozen=True)

@@ -484,13 +484,17 @@ def test_json_determinism_same_seed():
 
 def test_dirichlet_output_independent_of_blas_threads():
     # the census march multiplies prefix slices of the orbit, and orbit and
-    # profile take their distances from the same Bergman kernel; OpenBLAS
-    # may split such products across threads
+    # profile take their distances from the same Bergman kernel; enumeration
+    # multiplies each level by a symbol in one product of thousands of rows,
+    # which limitset and bend then apply to their seeds.  OpenBLAS may split
+    # such products across threads
     src = os.path.dirname(os.path.dirname(cli.__file__))
     for args in (
         ["dirichlet", "--preset", "z2-lattice", "--radius", "6", "--rays", "2000"],
         ["orbit", "--preset", "schottky", "--depth", "7"],
         ["profile", "--preset", "schottky", "--depth", "10"],
+        ["limitset", "--preset", "fuchsian", "--depth", "9"],
+        ["bend", "--preset", "hnn-bend", "--format", "csv"],
     ):
         code = ("import sys, chgeom.cli as cli; "
                 f"sys.exit(cli.main({['--command'] + args!r}))")

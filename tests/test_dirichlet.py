@@ -102,7 +102,8 @@ class TestSideCensus:
 
     def test_fixed_center_rejected(self):
         gens = gr.GroupGens([("a", hb.embed_rotation(np.array([[1j]])))])
-        with pytest.raises(DegenerateCenterError):
+        # the message names the first element that fixes the center
+        with pytest.raises(DegenerateCenterError, match="element 'A'$"):
             dm.dirichlet_side_census(gens, slab_center(), 2, rays=400)
 
     def test_boundary_center_rejected(self):
@@ -222,6 +223,13 @@ def ref_chord_lifts(directions, s):
     return lifts
 
 
+def level_words(gens, levels):
+    """Each level's words, spelled from its (parent, symbol) links."""
+    words = gr.Words(gens, levels)
+    flat = words.take(np.arange(words.starts[-1]))
+    return [flat[a:b] for a, b in zip(words.starts[:-1], words.starts[1:])]
+
+
 def ref_dirichlet_side_census(
     gens,
     center,
@@ -244,7 +252,8 @@ def ref_dirichlet_side_census(
         )
     words = []
     mats = []
-    for length, (ws, stack) in enumerate(levels):
+    spelled = level_words(gens, levels)
+    for length, (ws, (_, stack)) in enumerate(zip(spelled, levels)):
         if length == 0:
             continue
         words.extend(ws)
@@ -333,7 +342,8 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         )
     words = []
     mats = []
-    for length, (ws, stack) in enumerate(levels):
+    spelled = level_words(gens, levels)
+    for length, (ws, (_, stack)) in enumerate(zip(spelled, levels)):
         if length == 0:
             continue
         words.extend(ws)
@@ -521,7 +531,7 @@ def test_horo_lifts_equal_old_scalar_formula(xi_parts, v, u):
 def test_stacked_orbit_lifts_equal_per_matrix_loop(preset):
     # the stack products dirichlet_side_census and _slice_census use
     gens = ps.group_preset(preset)
-    words, mats = dm._census_orbit(gens, 4, gr.DEFAULT_BUDGET)
+    _, mats = dm._census_orbit(gens, 4, gr.DEFAULT_BUDGET)
     off_axis = core.ProjectivePoint(np.array([0.3 + 0.1j, -0.2j, 1.0]))
     for center in (cli._ball_origin(gens.dim), slab_center(0.7), off_axis):
         back = dm._ball_frame(center).inverse().matrix
@@ -665,7 +675,8 @@ def _same_census_bits(got, want):
 
 def ref_ball_census(gens, center, radius, rays=dm.DEFAULT_RAYS, seed=0):
     """The ball census as the reference march computes it."""
-    words, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    spell, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    words = spell(np.arange(len(mats)))
     back = dm._ball_frame(center).inverse().matrix
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
     norm = float(core.herm_inner(center.lift, center.lift).real)
@@ -711,7 +722,12 @@ def test_slice_kernel_matches_arccosh_reference_bit_for_bit(
 ):
     args = (make_gens(), model, 1.0, 3, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
     got = dm._slice_census(*args)
-    monkeypatch.setattr(dm, "_first_exit_census", ref_first_exit_census)
+
+    def ref_census(spell, base_lift, orbit_lifts, *rest):
+        words = spell(np.arange(len(orbit_lifts)))
+        return ref_first_exit_census(words, base_lift, orbit_lifts, *rest)
+
+    monkeypatch.setattr(dm, "_first_exit_census", ref_census)
     _same_census_bits(got, dm._slice_census(*args))
 
 

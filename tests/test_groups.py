@@ -56,7 +56,14 @@ def ball_origin():
 
 
 def total_words(levels):
-    return sum(len(ws) for ws, _ in levels)
+    return sum(len(links) for links, _ in levels)
+
+
+def level_words(gens, levels):
+    """Each level's words, spelled from its (parent, symbol) links."""
+    words = gr.Words(gens, levels)
+    flat = words.take(np.arange(words.starts[-1]))
+    return [tuple(flat[a:b]) for a, b in zip(words.starts[:-1], words.starts[1:])]
 
 
 class TestGroupGens:
@@ -90,7 +97,7 @@ class TestElementBall:
     def test_cyclic_count(self):
         levels, completed = gr.element_ball(cyclic_vertical(), 3)
         assert completed == 3
-        assert [len(ws) for ws, _ in levels] == [1, 2, 2, 2]
+        assert [len(links) for links, _ in levels] == [1, 2, 2, 2]
 
     def test_free_pair_count(self):
         levels, completed = gr.element_ball(schottky_pair(), 2)
@@ -110,8 +117,9 @@ class TestElementBall:
         assert total_words(levels) == 4
 
     def test_words_are_lexicographic(self):
-        levels, _ = gr.element_ball(schottky_pair(), 2)
-        for ws, _ in levels:
+        gens = schottky_pair()
+        levels, _ = gr.element_ball(gens, 2)
+        for ws in level_words(gens, levels):
             assert list(ws) == sorted(ws)
 
 
@@ -152,8 +160,8 @@ class TestOrbitEnumerate:
     def test_orbit_validates_its_lift_stack(self):
         for bad in ([[0, 0, 1], [0, 0, 0]], [[np.inf, 0, 1], [0, 0, 1]]):
             with pytest.raises(InvalidPointError):
-                gr.Orbit(("", "a"), np.array([0, 1]), np.array(bad, dtype=complex),
-                         np.zeros(2))
+                gr.Orbit(np.array([0, 1]), np.array(bad, dtype=complex),
+                         np.zeros(2), np.arange(2), None)
 
 
 class TestWordMetricProfile:
@@ -483,7 +491,7 @@ class TestDedupMatchesSequentialReference:
         levels, completed = gr.element_ball(gens, depth)
         ref_levels, ref_completed = ref_element_ball(gens, depth)
         assert completed == ref_completed == depth
-        assert [w for w, _ in levels] == [w for w, _ in ref_levels]
+        assert level_words(gens, levels) == [w for w, _ in ref_levels]
         for (_, m), (_, ref_m) in zip(levels, ref_levels):
             assert same_bits(m, ref_m)
         orbit = gr.orbit_enumerate(gens, depth, ball_origin())
@@ -516,7 +524,7 @@ class TestDedupMatchesSequentialReference:
         levels, completed = gr.element_ball(gens, 28, budget=20_000)
         ref_levels, ref_completed = ref_element_ball(gens, 28, budget=20_000)
         assert completed == ref_completed < 28
-        assert [w for w, _ in levels] == [w for w, _ in ref_levels]
+        assert level_words(gens, levels) == [w for w, _ in ref_levels]
         assert same_bits(np.concatenate([m for _, m in levels]),
                          np.concatenate([m for _, m in ref_levels]))
         ref_records, _ = ref_orbit(gens, 28, ball_origin(), budget=20_000)
@@ -619,12 +627,62 @@ def ref_pgl2z_levels(max_len):
 
 def test_fuchsian_ball_matches_exact_oracle_at_profile_budget():
     # the CLI's profile budget, which runs out at length 22
-    levels, completed = gr.element_ball(ps.group_preset("fuchsian"), 28,
-                                        budget=400_000)
+    gens = ps.group_preset("fuchsian")
+    levels, completed = gr.element_ball(gens, 28, budget=400_000)
     assert completed == 21
     want = ref_pgl2z_levels(21)
     assert [len(level) for level in want] == PGL2Z_LEVEL_COUNTS
-    assert [list(words) for words, _ in levels] == want
+    assert [list(words) for words in level_words(gens, levels)] == want
+
+
+def test_free_schottky_ball_at_user_scale():
+    # the schottky preset is free of rank 2, so without dedup every reduced
+    # word is its own element: 4 * 3^(L-1) of length L, 118,097 up to L = 10
+    gens = ps.group_preset("schottky")
+    levels, completed = gr.element_ball(gens, 10, dedup=False)
+    assert completed == 10
+    assert [len(links) for links, _ in levels] == \
+        [1] + [4 * 3 ** (k - 1) for k in range(1, 11)]
+    assert total_words(levels) == 1 + 2 * (3 ** 10 - 1) == 118_097
+    spelled = level_words(gens, levels)
+    words = [w for level in spelled for w in level]
+    assert len(set(words)) == len(words)
+    assert [len(w) for w in words] == np.repeat(
+        np.arange(11), [len(level) for level in spelled]).tolist()
+    cancel = [s + gens.inverse_label(s) for s, _ in gens.alphabet()]
+    assert not any(pair in w for w in words for pair in cancel)
+    # the reference's dedup merges nothing up to length 4
+    ref_levels, _ = ref_element_ball(gens, 4)
+    assert spelled[:5] == [w for w, _ in ref_levels]
+    for (_, m), (_, ref_m) in zip(levels, ref_levels):
+        assert same_bits(m, ref_m)
+
+
+def test_probe_limit_set_and_exhausted_profile_spell_no_words(monkeypatch):
+    def no_words(self, index):
+        raise AssertionError("a word string was built")
+
+    monkeypatch.setattr(gr.Words, "take", no_words)
+    gens = ps.group_preset("fuchsian")
+    assert gr.identity_word_probe(gens, max_len=8)[0]
+    assert len(gr.limit_set_sample(gens, 6, ps.boundary_seeds(5, seed=0))) > 0
+    with pytest.raises(BudgetExceededError):
+        gr.word_metric_profile(gens, 28, budget=20_000)
+    assert len(gr.word_metric_profile(gens, 8)) == 9
+
+
+def test_census_spells_only_its_sides(monkeypatch):
+    spelled = []
+    take = gr.Words.take
+
+    def recording_take(self, index):
+        spelled.extend(np.asarray(index).tolist())
+        return take(self, index)
+
+    monkeypatch.setattr(gr.Words, "take", recording_take)
+    census = dm.dirichlet_side_census(ps.group_preset("z2-lattice"),
+                                      ball_origin(), 6, rays=2000)
+    assert len(spelled) == len(census.sides) > 0
 
 
 def _near_pairs(seed, k, max_log_scale, shape):

@@ -217,17 +217,26 @@ def _horizon(spell, base_lift, orbit_lifts, norm):
     return float(np.max(base_d)) / 2.0 + 4.0
 
 
-def _certify(spell, dist, nrays, margin, enum_radius):
-    """SideCensus from the witnesses' distances to the orbit, one row each."""
-    best = np.argmin(dist, axis=1)
-    second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
-              else np.inf)
-    m = second - dist[np.arange(dist.shape[0]), best]
-    keep = m >= margin
-    best, m = best[keep], m[keep]
-    least = np.full(dist.shape[1], np.inf)
-    np.minimum.at(least, best, m)
-    g = sorted(set(best.tolist()))
+def _certify(spell, witness, orbit_lifts, norm, witness_norm, nrays, margin,
+             enum_radius):
+    """SideCensus from the witnesses' Bergman distances to the orbit, taken
+    _EXIT_CHUNK witnesses at a time: each keeps only its nearest image and
+    its margin over the runner-up, and a side keeps its least margin.
+    witness_norm is the form norm of every witness lift, or None to compute
+    each."""
+    least = np.full(len(orbit_lifts), np.inf)
+    side = np.zeros(len(orbit_lifts), dtype=bool)
+    for lo in range(0, len(witness), _EXIT_CHUNK):
+        dist = core._bergman_distances(witness[lo : lo + _EXIT_CHUNK], orbit_lifts,
+                                       norm, witness_norm)
+        best = np.argmin(dist, axis=1)
+        second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
+                  else np.inf)
+        m = second - dist[np.arange(len(best)), best]
+        keep = m >= margin
+        np.minimum.at(least, best[keep], m[keep])
+        side[best[keep]] = True
+    g = np.flatnonzero(side).tolist()
     sides = dict(zip(spell(g), least[g].tolist()))
     side_words = tuple(sorted(sides))
     return SideCensus(
@@ -235,7 +244,7 @@ def _certify(spell, dist, nrays, margin, enum_radius):
         margins={w: sides[w] for w in side_words},
         rays_used=nrays,
         enumeration_radius=enum_radius,
-        unbounded_ray_fraction=(nrays - dist.shape[0]) / nrays,
+        unbounded_ray_fraction=(nrays - len(witness)) / nrays,
     )
 
 
@@ -320,8 +329,8 @@ def _first_exit_census(spell, base_lift, orbit_lifts, norm, path, dirs, t_max,
         b[hit] = mid[hit]
         a[~hit] = mid[~hit]
     witness, _ = path(d_sub, 0.5 * (a + b))
-    dist = core._bergman_distances(witness, orbit_lifts, norm)
-    return _certify(spell, dist, nrays, margin, enum_radius)
+    return _certify(spell, witness, orbit_lifts, norm, None, nrays, margin,
+                    enum_radius)
 
 
 def dirichlet_side_census(
@@ -358,8 +367,8 @@ def dirichlet_side_census(
     s = _ball_exits(dirs, orbit_lifts, cnorm)
     crossed = s < horizon
     witness = _chord_lifts(dirs[crossed], s[crossed])  # of form norm -1
-    dist = core._bergman_distances(witness, orbit_lifts, cnorm, -1.0)
-    return _certify(spell, dist, rays, margin, enum_radius)
+    return _certify(spell, witness, orbit_lifts, cnorm, -1.0, rays, margin,
+                    enum_radius)
 
 
 def parabolic_projection(p, model, u0):

@@ -13,11 +13,13 @@ words on demand) in that order; nothing is built per point.
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
 entries divided by a pivot entry and rounded to 9 digits, and two keys are
-equal when their bytes are.  One sorted index of 64-bit key hashes, with
-back-pointers into the kept stacks, serves every level: a level sorts its
-own hashes, looks its keys up with one search, and confirms each hash match
-on the full key; keys that share a hash are told apart by their bytes, so
-a hash collision never merges items.  An item with a new key is kept; one
+equal when their bytes are.  Only 64-bit key hashes are stored: one sorted
+index of them, with back-pointers into the kept stacks, serves every level.
+A level hashes its keys a chunk at a time, sorts its own hashes, and looks
+them up with one search.  Each hash match is confirmed on the full keys,
+recomputed from the two items, which is exact because a key depends on its
+item alone; keys that share a hash are told apart by their bytes, so a hash
+collision never merges items.  An item with a new key is kept; one
 with a seen key is dropped when it matches a kept item with that key
 (matrix gap <= 1e-6, or lift gap <= PROJ_TOL for points).  Items with
 different keys are never compared.  All of this is float64, so far-out
@@ -181,13 +183,15 @@ class HeisCloud:
             yield self[i]
 
 
-def _canonical_rows(flat, digits=9):
+def _canonical_rows(items, digits=9):
     """Scale-and-phase canonical rounded rows for projective dedup.
 
-    Each row is divided by its pivot entry (first within a whisker of the
-    row maximum), then rounded; equal projective objects then produce
-    identical rows up to rounding-boundary luck.
+    Each item, a vector or a flattened matrix, is divided by its pivot
+    entry (first within a whisker of its maximum), then rounded; equal
+    projective objects then produce identical rows up to rounding-boundary
+    luck.  A row depends on its item alone, bit for bit.
     """
+    flat = items.reshape(len(items), -1)
     mag = np.abs(flat)
     mx = np.max(mag, axis=1)
     pivot = np.argmax(mag >= (1.0 - 1e-6) * mx[:, None], axis=1)
@@ -209,16 +213,12 @@ def _key_hash(words):
     the row, since every hash match is confirmed on the full key; a good
     hash only keeps the collision path idle.
     """
-    offsets = np.arange(words.shape[1], dtype=np.uint64) * _MIX[0]
-    hashes = np.empty(len(words), dtype=np.uint64)
-    for lo in range(0, len(words), 4096):  # cache-sized temporaries
-        mixed = words[lo:lo + 4096] + offsets
-        mixed *= _MIX[1]
-        mixed ^= mixed >> 32
-        mixed *= _MIX[2]
-        mixed ^= mixed >> 29
-        mixed.sum(axis=1, out=hashes[lo:lo + 4096])
-    return hashes
+    mixed = words + np.arange(words.shape[1], dtype=np.uint64) * _MIX[0]
+    mixed *= _MIX[1]
+    mixed ^= mixed >> 32
+    mixed *= _MIX[2]
+    mixed ^= mixed >> 29
+    return mixed.sum(axis=1, dtype=np.uint64)
 
 
 def _byte_rows(words):
@@ -227,44 +227,25 @@ def _byte_rows(words):
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
-def _first_of_key(words, hashes):
-    """For each row, the first row with the same key words.
-
-    Rows are grouped by sorting their hashes and checked against the first
-    row of their group; groups whose hash two different keys share are
-    regrouped by their bytes.
-    """
-    order = np.argsort(hashes)
-    sorted_hashes = hashes[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
-    group = np.cumsum(head) - 1
-    first_of = np.empty_like(order)
-    first_of[order] = np.minimum.reduceat(order, np.flatnonzero(head))[group]
-    dup = np.flatnonzero(first_of != np.arange(len(order)))
-    clash = dup[np.any(words[dup] != words[first_of[dup]], axis=1)]
-    if len(clash):
-        rows = np.flatnonzero(np.isin(first_of, first_of[clash]))
-        _, first, inverse = np.unique(_byte_rows(words[rows]), return_index=True,
-                                      return_inverse=True)
-        first_of[rows] = rows[first[inverse]]
-    return first_of
+_CHUNK = 8192  # items per batch of keys or of `same`, to bound temporaries
 
 
 class _FirstKept:
     """Projective dedup, level by level, in which the first item wins.
 
-    Keys are compared as bytes, read as uint64 words, so -0.0 and +0.0
-    differ and a NaN equals only its own bit pattern.  A key's first kept
-    item is its representative.  The index is the sorted `_key_hash` of
-    every key seen so far, each with its representative's row in the kept
-    stacks; those stacks are stored per level with their keys and never
-    copied.
+    key maps a batch of items to one key row per item, which must depend
+    on its item alone, bit for bit, in any batch: keys are not stored but
+    computed again, a chunk at a time, wherever they are compared.  Keys
+    are compared as bytes, read as uint64 words, so -0.0 and +0.0 differ
+    and a NaN equals only its own bit pattern.  A key's first kept item is
+    its representative.  The index is the sorted `_key_hash` of every key
+    seen so far, each with its representative's row in the kept stacks,
+    which are stored per level and never copied.
 
     A level finds the first item of each of its keys by sorting its hashes
     (`_first_of_key`), then looks those keys up with one searchsorted into
-    the index.  Every hash match is confirmed on the full key.  A
-    collision, two different keys with one hash, takes an exact path:
+    the index.  Every hash match is confirmed on the two items' full keys.
+    A collision, two different keys with one hash, takes an exact path:
     within the level its hash group is regrouped by bytes, and a hash that
     several index entries hold is matched against all of them by bytes
     (np.unique).  So a collision costs time but never merges items or
@@ -275,26 +256,64 @@ class _FirstKept:
     order, against the key's other kept items.
     """
 
-    def __init__(self, same):
+    def __init__(self, same, key):
         self.same = same  # batched: (stack, stack) -> bool array
+        self.key = key  # batched: stack -> key rows, each of its item alone
         self.hashes = np.empty(0, dtype=np.uint64)  # sorted
         self.reps = np.empty(0, dtype=np.int64)  # kept row of each hash's key
-        self.keys = []  # per level: key words of the kept items
         self.kept = []  # per level: kept items
         self.starts = np.zeros(1, dtype=np.int64)  # first kept row per level
         self.others = {}  # key bytes -> kept items after the first
 
-    def _rows(self, blocks, rows):
-        """The given kept rows of per-level blocks (self.keys or self.kept)."""
+    def _words(self, items):
+        """The keys of a batch of items as rows of uint64 words."""
+        return np.ascontiguousarray(self.key(items)).view(np.uint64)
+
+    def _same_key(self, left, right, count):
+        """Whether items left(c) and right(c) have equal keys, for the
+        chunks c of range(count)."""
+        equal = np.empty(count, dtype=bool)
+        for lo in range(0, count, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            equal[c] = np.all(self._words(left(c)) == self._words(right(c)), axis=1)
+        return equal
+
+    def _rows(self, rows):
+        """The given rows of the kept stacks."""
         level = np.searchsorted(self.starts, rows, side="right") - 1
-        out = np.empty((len(rows),) + blocks[0].shape[1:], dtype=blocks[0].dtype)
+        out = np.empty((len(rows),) + self.kept[0].shape[1:], dtype=self.kept[0].dtype)
         for lv in np.flatnonzero(np.bincount(level)).tolist():
             at = level == lv
-            out[at] = blocks[lv][rows[at] - self.starts[lv]]
+            out[at] = self.kept[lv][rows[at] - self.starts[lv]]
         return out
 
-    def _lookup(self, words, hashes):
-        """The representative's kept row for each key, or -1 for a new key."""
+    def _first_of_key(self, items, hashes):
+        """For each item, the first item of the level with the same key.
+
+        Items are grouped by sorting their hashes and checked against the
+        first item of their group; groups whose hash two different keys
+        share are regrouped by their bytes.
+        """
+        order = np.argsort(hashes)
+        sorted_hashes = hashes[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
+        group = np.cumsum(head) - 1
+        first_of = np.empty_like(order)
+        first_of[order] = np.minimum.reduceat(order, np.flatnonzero(head))[group]
+        dup = np.flatnonzero(first_of != np.arange(len(order)))
+        clash = dup[~self._same_key(lambda c: items[dup[c]],
+                                    lambda c: items[first_of[dup[c]]], len(dup))]
+        if len(clash):
+            rows = np.flatnonzero(np.isin(first_of, first_of[clash]))
+            _, first, inverse = np.unique(_byte_rows(self._words(items[rows])),
+                                          return_index=True, return_inverse=True)
+            first_of[rows] = rows[first[inverse]]
+        return first_of
+
+    def _lookup(self, items, at, hashes):
+        """The representative's kept row for the key of each of items[at],
+        whose key hashes are given, or -1 for a new key."""
         found = np.full(len(hashes), -1, dtype=np.int64)
         if not self.kept:
             return found
@@ -307,7 +326,8 @@ class _FirstKept:
         single = hit & ~run
         one = q[single]
         rows = self.reps[lo[single]]
-        match = np.all(self._rows(self.keys, rows) == words[one], axis=1)
+        match = self._same_key(lambda c: items[at[one[c]]],
+                               lambda c: self._rows(rows[c]), len(one))
         found[one[match]] = rows[match]
         if np.any(run):
             # the index holds several keys with these hashes: match by bytes
@@ -317,7 +337,8 @@ class _FirstKept:
             np.add.at(span, lo[run], 1)
             np.add.at(span, hi, -1)
             rows = self.reps[np.cumsum(span[:-1]) > 0]
-            both = np.concatenate([self._rows(self.keys, rows), words[many]])
+            both = np.concatenate([self._words(self._rows(rows)),
+                                   self._words(items[at[many]])])
             _, inverse = np.unique(_byte_rows(both), return_inverse=True)
             owner = np.full(len(both), -1, dtype=np.int64)
             owner[inverse[:len(rows)]] = rows
@@ -331,13 +352,14 @@ class _FirstKept:
         self.hashes = np.insert(self.hashes, at, hashes[order])
         self.reps = np.insert(self.reps, at, rows[order])
 
-    def keep(self, keys, items):
+    def keep(self, items):
         """Ascending indices of the items kept from one level, and the items."""
-        words = np.ascontiguousarray(keys).view(np.uint64)
-        hashes = _key_hash(words)
-        first_of = _first_of_key(words, hashes)
+        hashes = np.empty(len(items), dtype=np.uint64)
+        for lo in range(0, len(items), _CHUNK):
+            hashes[lo:lo + _CHUNK] = _key_hash(self._words(items[lo:lo + _CHUNK]))
+        first_of = self._first_of_key(items, hashes)
         first = np.flatnonzero(first_of == np.arange(len(items)))
-        found = self._lookup(words[first], hashes[first])
+        found = self._lookup(items, first, hashes[first])
         new = first[found < 0]
         rep_row = np.full(len(items), -1, dtype=np.int64)
         rep_row[first] = found
@@ -345,16 +367,16 @@ class _FirstKept:
         kept[new] = True
         repeat = np.flatnonzero(~kept)
         differs = np.zeros(len(items), dtype=bool)
-        for lo in range(0, len(repeat), 8192):  # bounds the temporaries
-            c = repeat[lo:lo + 8192]
+        for lo in range(0, len(repeat), _CHUNK):
+            c = repeat[lo:lo + _CHUNK]
             reps = items[first_of[c]]
             rows = rep_row[first_of[c]]
             earlier = np.flatnonzero(rows >= 0)
             if len(earlier):
-                reps[earlier] = self._rows(self.kept, rows[earlier])
+                reps[earlier] = self._rows(rows[earlier])
             differs[c] = ~self.same(items[c], reps)
         for i in np.flatnonzero(differs):
-            others = self.others.setdefault(words[i].tobytes(), [])
+            others = self.others.setdefault(self._words(items[i:i + 1]).tobytes(), [])
             if others and np.any(self.same(items[i], np.stack(others))):
                 continue
             others.append(items[i].copy())
@@ -363,7 +385,6 @@ class _FirstKept:
         kept_items = items[idx]
         if len(idx):
             start = self.starts[-1]
-            self.keys.append(words[idx])
             self.kept.append(kept_items)
             self.starts = np.append(self.starts, start + len(idx))
             self._insert(hashes[new], start + np.searchsorted(idx, new))
@@ -396,8 +417,9 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     last = np.array([-1])
     total = 1
     if dedup:
-        seen = _FirstKept(lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6))
-        seen.keep(_canonical_rows(ident.reshape(1, -1)), stack)
+        seen = _FirstKept(lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6),
+                          _canonical_rows)
+        seen.keep(stack)
 
     for length in range(1, max_len + 1):
         # children in word order: by parent, then by symbol
@@ -414,8 +436,7 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
             cand_m[rows] = (stack[parent[rows]].reshape(-1, d) @ mats[si]
                             ).reshape(-1, d, d)
         if dedup:
-            keep, cand_m = seen.keep(
-                _canonical_rows(cand_m.reshape(len(cand_m), -1)), cand_m)
+            keep, cand_m = seen.keep(cand_m)
             if len(keep) == 0:
                 return levels, max_len
             links = links[keep]
@@ -459,14 +480,15 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     base = basepoint.lift
     d = len(base)
     norm = float(core.herm_inner(base, base).real)
-    seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL)
+    seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL,
+                      _canonical_rows)
     ball_words = Words(gens, levels)
     columns = []  # per level: kept ball elements, lifts and distances
     for start, (_, stack) in zip(ball_words.starts, levels):
         lifts = (stack.reshape(-1, d) @ base).reshape(-1, d)
         # the lifts are images of the basepoint, so every norm is its norm
         dists = core._bergman_distances(lifts, base[None, :], norm, norm)[:, 0]
-        keep, kept = seen.keep(_canonical_rows(lifts), lifts)
+        keep, kept = seen.keep(lifts)
         columns.append((start + keep, kept, dists[keep]))
     elements, lifts, dists = (np.concatenate(c) for c in zip(*columns))
     lengths = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])

@@ -1,4 +1,6 @@
 import functools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -729,6 +731,100 @@ def test_slice_kernel_matches_arccosh_reference_bit_for_bit(
 
     monkeypatch.setattr(dm, "_first_exit_census", ref_census)
     _same_census_bits(got, dm._slice_census(*args))
+
+
+# --- reference certification: the one-shot distance matrix it replaced ---
+# _certify takes the witnesses' distances to the orbit _EXIT_CHUNK rows at
+# a time; this takes them all in one matrix, as the census did before.
+# Each row reduces to its own minimum and runner-up, so the two must give
+# the same census bit for bit.
+
+
+def ref_certify(spell, dist, nrays, margin, enum_radius):
+    best = np.argmin(dist, axis=1)
+    second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
+              else np.inf)
+    m = second - dist[np.arange(dist.shape[0]), best]
+    keep = m >= margin
+    best, m = best[keep], m[keep]
+    least = np.full(dist.shape[1], np.inf)
+    np.minimum.at(least, best, m)
+    g = sorted(set(best.tolist()))
+    sides = dict(zip(spell(g), least[g].tolist()))
+    side_words = tuple(sorted(sides))
+    return dm.SideCensus(
+        sides=side_words,
+        margins={w: sides[w] for w in side_words},
+        rays_used=nrays,
+        enumeration_radius=enum_radius,
+        unbounded_ray_fraction=(nrays - dist.shape[0]) / nrays,
+    )
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """(witness count, chunked census, one-shot census) of every _certify call."""
+    calls = []
+    chunked = dm._certify
+
+    def both(spell, witness, orbit_lifts, norm, witness_norm, *rest):
+        got = chunked(spell, witness, orbit_lifts, norm, witness_norm, *rest)
+        dist = core._bergman_distances(witness, orbit_lifts, norm, witness_norm)
+        calls.append((len(witness), got, ref_certify(spell, dist, *rest)))
+        return got
+
+    monkeypatch.setattr(dm, "_certify", both)
+    return calls
+
+
+def schottky_generator_file(tmp_path):
+    """The Schottky preset read back from a generator file, as the CLI reads it."""
+    path = tmp_path / "schottky.json"
+    path.write_text(json.dumps([[[[z.real, z.imag] for z in row] for row in iso.matrix]
+                                for iso in ps.group_preset("schottky").isometries]))
+    return cli._gens_from_isometries(
+        [core.Isometry(m) for m in cli._load_generator_file(str(path))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("preset,radius,rays", [
+    ("z2-lattice", 10, 10000), ("cyclic-vertical", 6, 2000),
+    ("schottky-file", 3, 2000)])
+def test_chunked_certification_matches_one_shot(certified, tmp_path, preset,
+                                                radius, rays, seed):
+    gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
+            else ps.group_preset(preset))
+    dm.dirichlet_side_census(gens, cli._ball_origin(gens.dim), radius,
+                             rays=rays, seed=seed)
+    (witnesses, got, want), = certified
+    _same_census_bits(got, want)
+    if preset == "z2-lattice":
+        assert witnesses > 2 * dm._EXIT_CHUNK  # several chunks and a tail
+
+
+def test_chunked_slice_certification_matches_one_shot(certified):
+    dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3, rays=2500)
+    assert len(certified) == 2  # at enum_radius and enum_radius + 2
+    for witnesses, got, want in certified:
+        assert witnesses > dm._EXIT_CHUNK
+        _same_census_bits(got, want)
+
+
+def test_census_peak_memory_is_bounded_by_one_chunk():
+    # the dirichlet-z2-10 benchmark step: before the witness distances were
+    # chunked, the 10,000 x 220 distance matrix and its temporaries made the
+    # peak 18 times one chunk's rays-by-orbit complex products
+    gens = ps.group_preset("z2-lattice")
+    center = cli._ball_origin(gens.dim)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm.dirichlet_side_census(gens, center, 10, rays=10000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    orbit = 2 * 10 * 11  # the z2 ball of radius 10 minus the identity
+    assert peak <= 8 * dm._EXIT_CHUNK * orbit * 16
 
 
 def test_census_depends_only_on_the_projective_center():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -556,7 +557,12 @@ class TestDedupMatchesSequentialReference:
         else:
             same = lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6)
             ref_same = lambda x, y: not ref_matrix_gap(x, y) > 1e-6
-        kernel = gr._FirstKept(same)
+        forced = {}  # item bytes -> its forced key
+
+        def key(batch):
+            return np.array([forced[x.tobytes()] for x in batch]).reshape(-1, 1)
+
+        kernel = gr._FirstKept(same, key)
         buckets = {}
         decided_later = 0
         for _ in range(4):
@@ -564,6 +570,7 @@ class TestDedupMatchesSequentialReference:
             scale = rng.uniform(0.1, 10, 50) * np.exp(1j * rng.uniform(0, 7, 50))
             items = base[pick] * scale.reshape((50,) + (1,) * len(shape))
             keys = rng.integers(0, 2, size=(50, 1)).astype(float)
+            forced.update((x.tobytes(), k) for x, k in zip(items, keys))
             want = []
             for i in range(50):
                 bucket = buckets.setdefault(keys[i].tobytes(), [])
@@ -571,7 +578,7 @@ class TestDedupMatchesSequentialReference:
                 if not any(ref_same(items[i], m) for m in bucket):
                     bucket.append(items[i])
                     want.append(i)
-            idx, kept = kernel.keep(keys, items)
+            idx, kept = kernel.keep(items)
             assert idx.tolist() == want
             assert same_bits(kept, items[want])
         assert decided_later > 0
@@ -592,6 +599,58 @@ class TestDedupUnderDegenerateHash(TestDedupMatchesSequentialReference):
         mask = {"constant": 0, "two-bits": 3, "twelve-bits": 0xFFF}[request.param]
         monkeypatch.setattr(gr, "_key_hash",
                             lambda words: real(words) & np.uint64(mask))
+
+
+@pytest.mark.parametrize("preset, depth, points", [
+    ("fuchsian", 12, False), ("schottky", 7, False), ("z2-lattice", 10, True)])
+def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
+    # _FirstKept stores no keys and recomputes them to confirm a match, in
+    # other batches than the level's; that is exact only if a key is a
+    # function of its item alone, bit for bit
+    levels = []
+    real_keep = gr._FirstKept.keep
+
+    def keep(self, items):
+        idx, kept = real_keep(self, items)
+        levels.append((self.key, items, idx))
+        return idx, kept
+
+    monkeypatch.setattr(gr._FirstKept, "keep", keep)
+    gens = ps.group_preset(preset)
+    if points:
+        gr.orbit_enumerate(gens, depth, ball_origin())
+    else:
+        gr.element_ball(gens, depth)
+    checked = 0
+    for key, items, idx in levels:
+        if (items.ndim == 2) != points:
+            continue  # the orbit's element ball
+        want = key(items)[idx]  # the level as one batch
+        kept = items[idx]
+        alone = np.concatenate([key(kept[i:i + 1]) for i in range(len(kept))])
+        shifted = key(np.concatenate([items, kept]))[len(items):]
+        assert alone.tobytes() == want.tobytes()
+        assert key(kept[::-1])[::-1].tobytes() == want.tobytes()
+        assert shifted.tobytes() == want.tobytes()
+        checked += len(idx)
+    assert checked > 200
+
+
+def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():
+    # the budget-limited fuchsian profile: before keys were recomputed on
+    # demand, the stored keys and level-wide key temporaries made the
+    # peak 3.2 times the returned levels
+    gens = ps.group_preset("fuchsian")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels, completed = gr.element_ball(gens, 28, budget=400_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert completed == 21
+    returned = sum(links.nbytes + stack.nbytes for links, stack in levels)
+    assert peak <= 2.25 * returned
 
 
 # The fuchsian preset (t: x -> x + 1, s: x -> 1/x) is PGL(2, Z), and these

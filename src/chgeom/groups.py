@@ -5,7 +5,8 @@ the generator label, and labels listed as involutive are their own inverse.
 Word enumeration is breadth-first over reduced words with deterministic
 lexicographic ordering.  A level of the ball is columnar: (parent, symbol)
 links into the previous level and alphabet, and a matrix stack built with
-one matrix product per symbol.  Word strings are spelled by `Words`, from
+one matrix product per symbol, real (float64) when every generator matrix
+is real and complex128 otherwise.  Word strings are spelled by `Words`, from
 the links, only for the elements a caller reads.  An orbit is one columnar
 `Orbit` (word lengths, a lift stack, distances to the basepoint, and the
 words on demand) in that order; nothing is built per point.
@@ -402,16 +403,21 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     into gens.alphabet().  The identity's links are (-1, -1).  `Words`
     spells the words from the links.  Element dedup keeps the first
     (shortest, then lexicographically first) word for each group element.
+    Stacks are float64 when every generator matrix is real, else complex128.
+    A real stack's keys are its complex keys' real parts up to the last bit
+    before rounding, so decisions differ only at a rounding boundary, or
+    where a negative pivot's -0.0 imaginary key parts split equal elements.
     """
     alpha = gens.alphabet()
     symbols = [s for s, _ in alpha]
     mats = np.stack([m for _, m in alpha])
+    mats = mats if np.any(mats.imag) else mats.real
     inv_idx = np.array(
         [symbols.index(gens.inverse_label(s)) for s in symbols], dtype=int
     )
     d = gens.dim
 
-    ident = np.eye(d, dtype=complex)
+    ident = np.eye(d, dtype=mats.dtype)
     stack = ident[None, :, :]
     levels = [(np.full((1, 2), -1), stack)]
     last = np.array([-1])
@@ -429,7 +435,7 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
         if total + len(links) > budget:
             return levels, length - 1
         parent, sym = links.T
-        cand_m = np.empty((len(links), d, d), dtype=complex)
+        cand_m = np.empty((len(links), d, d), dtype=mats.dtype)
         for si in range(len(symbols)):
             rows = np.flatnonzero(sym == si)
             # one (d k, d) @ (d, d) product, bit for bit the k stacked ones
@@ -633,6 +639,12 @@ class BoxDimFit:
     counts: tuple
 
 
+def _distinct_rows(cells):
+    """The number of distinct rows of a nonempty 2-D integer array."""
+    s = cells[np.lexsort(cells.T)]
+    return 1 + int(np.count_nonzero(np.any(s[1:] != s[:-1], axis=1)))
+
+
 def boxdim_estimate(cloud, scales):
     """Box-counting dimension of a HeisCloud in the Cygan metric.
 
@@ -654,10 +666,8 @@ def boxdim_estimate(cloud, scales):
 
     counts = []
     for eps in scales:
-        cell = np.empty_like(coords)
-        cell[:, :-1] = np.floor(coords[:, :-1] / eps)
-        cell[:, -1] = np.floor(coords[:, -1] / eps**2)
-        counts.append(len(np.unique(cell.astype(np.int64), axis=0)))
+        cell = np.floor(coords / ([eps] * (coords.shape[1] - 1) + [eps**2]))
+        counts.append(_distinct_rows(cell.astype(np.int64)))
     logs = np.log(np.asarray(counts, dtype=float))
     x = np.log(1.0 / scales)
     slope, intercept = np.polyfit(x, logs, 1)

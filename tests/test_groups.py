@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chgeom import bending as bd
+from chgeom import cli
 from chgeom import core
 from chgeom import dirichlet as dm
 from chgeom import groups as gr
@@ -465,6 +467,15 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def same_stack_bits(m, ref_m):
+    """m is the complex reference stack ref_m bit for bit, or, for a real
+    group's float64 m, ref_m's real parts, with imaginary parts all +0.0."""
+    if m.dtype == np.float64:
+        assert same_bits(ref_m.imag, np.zeros(ref_m.shape))
+        m = m.astype(complex)
+    return same_bits(m, ref_m)
+
+
 def as_tuples(orbit):
     assert isinstance(orbit, gr.Orbit)
     return list(zip(orbit.words, orbit.lifts, orbit.word_lengths.tolist(),
@@ -494,7 +505,7 @@ class TestDedupMatchesSequentialReference:
         assert completed == ref_completed == depth
         assert level_words(gens, levels) == [w for w, _ in ref_levels]
         for (_, m), (_, ref_m) in zip(levels, ref_levels):
-            assert same_bits(m, ref_m)
+            assert same_stack_bits(m, ref_m)
         orbit = gr.orbit_enumerate(gens, depth, ball_origin())
         ref_records, _ = ref_orbit(gens, depth, ball_origin())
         assert_same_records(as_tuples(orbit), ref_records)
@@ -526,8 +537,8 @@ class TestDedupMatchesSequentialReference:
         ref_levels, ref_completed = ref_element_ball(gens, 28, budget=20_000)
         assert completed == ref_completed < 28
         assert level_words(gens, levels) == [w for w, _ in ref_levels]
-        assert same_bits(np.concatenate([m for _, m in levels]),
-                         np.concatenate([m for _, m in ref_levels]))
+        assert same_stack_bits(np.concatenate([m for _, m in levels]),
+                               np.concatenate([m for _, m in ref_levels]))
         ref_records, _ = ref_orbit(gens, 28, ball_origin(), budget=20_000)
         for call in (gr.orbit_enumerate, gr.word_metric_profile):
             with pytest.raises(BudgetExceededError) as err:
@@ -651,6 +662,36 @@ def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():
     assert completed == 21
     returned = sum(links.nbytes + stack.nbytes for links, stack in levels)
     assert peak <= 2.25 * returned
+    # the group is real, so its stacks are float64: the peak stays under
+    # 1.3 times what links and complex128 stacks take (1.89 times when the
+    # stacks were complex128)
+    complex_stacks = sum(links.nbytes + len(links) * 9 * 16 for links, _ in levels)
+    assert peak <= 1.3 * complex_stacks
+
+
+def generator_file_group(tmp_path, iso):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[[[z.real, z.imag] for z in row]
+                                 for row in iso.matrix.tolist()]]))
+    isos = [core.Isometry(m) for m in cli._load_generator_file(str(path))]
+    return cli._gens_from_isometries(isos)
+
+
+@pytest.mark.parametrize("group, dtype", [
+    (lambda _: ps.group_preset("fuchsian"), np.float64),
+    (lambda _: ps.group_preset("dilation"), np.float64),
+    (lambda _: bd.deform_group(ps.bend_preset("hnn-bend"), 0.0), np.float64),
+    (lambda p: generator_file_group(p, hb.embed_translation(1.0, 0.0)), np.float64),
+    (lambda _: ps.group_preset("schottky"), np.complex128),
+    (lambda _: ps.group_preset("z2-lattice"), np.complex128),
+    (lambda _: ps.group_preset("cyclic-vertical"), np.complex128),
+    (lambda p: generator_file_group(p, hb.embed_rotation(1j)), np.complex128),
+    (lambda _: bd.deform_group(ps.bend_preset("hnn-bend"), 0.1), np.complex128),
+])
+def test_ball_stacks_are_real_exactly_when_the_generators_are(tmp_path, group, dtype):
+    for dedup in (True, False):
+        levels, _ = gr.element_ball(group(tmp_path), 4, dedup=dedup)
+        assert {stack.dtype for _, stack in levels} == {np.dtype(dtype)}
 
 
 # The fuchsian preset (t: x -> x + 1, s: x -> 1/x) is PGL(2, Z), and these
@@ -845,6 +886,15 @@ class TestLimitSet:
 
 
 class TestBoxDim:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_rows_match_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(1, 3000)
+        cells = rng.integers(-rng.integers(1, 6), rng.integers(1, 6), size=(rows, 3))
+        assert gr._distinct_rows(cells) == len(np.unique(cells, axis=0))
+        one = np.tile(rng.integers(-9, 9, size=3), (rows, 1))
+        assert gr._distinct_rows(one) == len(np.unique(one, axis=0)) == 1
+
     def test_vertical_segment_dimension(self):
         rng = np.random.default_rng(7)
         v = rng.uniform(0.0, 1.0, size=10_000)

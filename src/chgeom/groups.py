@@ -5,26 +5,30 @@ the generator label, and labels listed as involutive are their own inverse.
 Word enumeration is breadth-first over reduced words with deterministic
 lexicographic ordering.  A level of the ball is columnar: (parent, symbol)
 links into the previous level and alphabet, and a matrix stack built with
-one matrix product per symbol, real (float64) when every generator matrix
-is real and complex128 otherwise.  Word strings are spelled by `Words`, from
-the links, only for the elements a caller reads.  An orbit is one columnar
-`Orbit` (word lengths, a lift stack, distances to the basepoint, and the
-words on demand) in that order; nothing is built per point.
+one matrix product per symbol and chunk, real (float64) when every
+generator matrix is real and complex128 otherwise.  Word strings are
+spelled by `Words`, from the links, only for the elements a caller reads.
+An orbit is one columnar `Orbit` (word lengths, a lift stack, distances
+to the basepoint, and the words on demand) in that order; nothing is
+built per point.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
 entries divided by a pivot entry and rounded to 9 digits, and two keys are
 equal when their bytes are.  Only 64-bit key hashes are stored: one sorted
 index of them, with back-pointers into the kept stacks, serves every level.
-A level hashes its keys a chunk at a time, sorts its own hashes, and looks
-them up with one search.  Each hash match is confirmed on the full keys,
-recomputed from the two items, which is exact because a key depends on its
-item alone; keys that share a hash are told apart by their bytes, so a hash
-collision never merges items.  An item with a new key is kept; one
-with a seen key is dropped when it matches a kept item with that key
-(matrix gap <= 1e-6, or lift gap <= PROJ_TOL for points).  Items with
-different keys are never compared.  All of this is float64, so far-out
-orbit points whose lifts agree to rounding merge though distinct.
+A ball level's candidates are not stored either: `_Products` computes any
+of their rows from the links on demand.  A level hashes its keys a chunk
+at a time and sorts the hashes once, which groups the level and searches
+the index.  One pass then confirms each repeat against its presumed
+representative on the full keys, recomputed from the two items, which is
+exact because a key depends on its item alone; keys that share a hash are
+told apart by their bytes, so a hash collision never merges items.  An
+item with a new key is kept; one with a seen key is dropped when it
+matches a kept item with that key (matrix gap <= 1e-6, or lift gap <=
+PROJ_TOL for points).  Items with different keys are never compared.  The
+kept items are computed last.  All of this is float64, so far-out orbit
+points whose lifts agree to rounding merge though distinct.
 """
 
 from dataclasses import dataclass
@@ -228,7 +232,7 @@ def _byte_rows(words):
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
-_CHUNK = 8192  # items per batch of keys or of `same`, to bound temporaries
+_CHUNK = 8192  # items per batch of products, keys or `same`, to bound temporaries
 
 
 class _FirstKept:
@@ -243,18 +247,20 @@ class _FirstKept:
     seen so far, each with its representative's row in the kept stacks,
     which are stored per level and never copied.
 
-    A level finds the first item of each of its keys by sorting its hashes
-    (`_first_of_key`), then looks those keys up with one searchsorted into
-    the index.  Every hash match is confirmed on the two items' full keys.
-    A collision, two different keys with one hash, takes an exact path:
-    within the level its hash group is regrouped by bytes, and a hash that
-    several index entries hold is matched against all of them by bytes
-    (np.unique).  So a collision costs time but never merges items or
-    fails.  The level's new keys are then merged into the index.
-
-    Items with a seen key are tested against their representatives in
-    batched calls of `same`; only those that differ are then checked, in
-    order, against the key's other kept items.
+    A level's items are an array or `_Products`, indexed by slices and
+    index arrays; only their hashes are held.  One sort of the hashes
+    groups the level, gives the sorted queries of one search into the
+    index, and orders the new keys for the index merge.  Each item then
+    has a presumed representative: the first index entry with its hash,
+    else the first item of its group.  One chunked pass confirms every
+    repeat on the two full keys and tests it against that representative
+    with `same`.  A key that differs marks a collision, two keys with one
+    hash, and its group takes an exact path: regrouped by bytes with every
+    index entry of its hash (np.unique), then tested again.  So a collision
+    costs time but never merges items or fails.  Items whose key is new
+    are kept; items that differ from their representative are checked, in
+    order, against the key's other kept items.  The kept items are
+    computed last.
     """
 
     def __init__(self, same, key):
@@ -270,15 +276,6 @@ class _FirstKept:
         """The keys of a batch of items as rows of uint64 words."""
         return np.ascontiguousarray(self.key(items)).view(np.uint64)
 
-    def _same_key(self, left, right, count):
-        """Whether items left(c) and right(c) have equal keys, for the
-        chunks c of range(count)."""
-        equal = np.empty(count, dtype=bool)
-        for lo in range(0, count, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
-            equal[c] = np.all(self._words(left(c)) == self._words(right(c)), axis=1)
-        return equal
-
     def _rows(self, rows):
         """The given rows of the kept stacks."""
         level = np.searchsorted(self.starts, rows, side="right") - 1
@@ -288,108 +285,139 @@ class _FirstKept:
             out[at] = self.kept[lv][rows[at] - self.starts[lv]]
         return out
 
-    def _first_of_key(self, items, hashes):
-        """For each item, the first item of the level with the same key.
-
-        Items are grouped by sorting their hashes and checked against the
-        first item of their group; groups whose hash two different keys
-        share are regrouped by their bytes.
-        """
-        order = np.argsort(hashes)
-        sorted_hashes = hashes[order]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = sorted_hashes[1:] != sorted_hashes[:-1]
-        group = np.cumsum(head) - 1
-        first_of = np.empty_like(order)
-        first_of[order] = np.minimum.reduceat(order, np.flatnonzero(head))[group]
-        dup = np.flatnonzero(first_of != np.arange(len(order)))
-        clash = dup[~self._same_key(lambda c: items[dup[c]],
-                                    lambda c: items[first_of[dup[c]]], len(dup))]
-        if len(clash):
-            rows = np.flatnonzero(np.isin(first_of, first_of[clash]))
-            _, first, inverse = np.unique(_byte_rows(self._words(items[rows])),
-                                          return_index=True, return_inverse=True)
-            first_of[rows] = rows[first[inverse]]
-        return first_of
-
-    def _lookup(self, items, at, hashes):
-        """The representative's kept row for the key of each of items[at],
-        whose key hashes are given, or -1 for a new key."""
-        found = np.full(len(hashes), -1, dtype=np.int64)
-        if not self.kept:
-            return found
-        q = np.argsort(hashes)  # sorted queries search much faster
-        h = hashes[q]
-        lo = np.searchsorted(self.hashes, h)
-        last = len(self.hashes) - 1
-        hit = self.hashes[np.minimum(lo, last)] == h
-        run = hit & (lo < last) & (self.hashes[np.minimum(lo + 1, last)] == h)
-        single = hit & ~run
-        one = q[single]
-        rows = self.reps[lo[single]]
-        match = self._same_key(lambda c: items[at[one[c]]],
-                               lambda c: self._rows(rows[c]), len(one))
-        found[one[match]] = rows[match]
-        if np.any(run):
-            # the index holds several keys with these hashes: match by bytes
-            many = q[run]
-            hi = np.searchsorted(self.hashes, h[run], side="right")
-            span = np.zeros(len(self.hashes) + 1, dtype=np.int64)
-            np.add.at(span, lo[run], 1)
-            np.add.at(span, hi, -1)
-            rows = self.reps[np.cumsum(span[:-1]) > 0]
-            both = np.concatenate([self._words(self._rows(rows)),
-                                   self._words(items[at[many]])])
-            _, inverse = np.unique(_byte_rows(both), return_inverse=True)
-            owner = np.full(len(both), -1, dtype=np.int64)
-            owner[inverse[:len(rows)]] = rows
-            found[many] = owner[inverse[len(rows):]]
-        return found
+    def _confirm(self, items, at, rep):
+        """For each of items[at], whether its key equals its representative's,
+        and whether `same` holds for the two.  rep[i] >= 0 is a kept row, and
+        rep[i] < 0 stands for items[~rep[i]]."""
+        equal = np.empty(len(at), dtype=bool)
+        same = np.empty(len(at), dtype=bool)
+        for lo in range(0, len(at), _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            x, r = items[at[c]], rep[at[c]]
+            y = np.empty_like(x)
+            earlier = r >= 0
+            if np.any(earlier):
+                y[earlier] = self._rows(r[earlier])
+            y[~earlier] = items[~r[~earlier]]
+            equal[c] = np.all(self._words(x) == self._words(y), axis=1)
+            same[c] = self.same(x, y)
+        return equal, same
 
     def _insert(self, hashes, rows):
-        """Merge new keys' hashes and representative rows into the index."""
-        order = np.argsort(hashes)
-        at = np.searchsorted(self.hashes, hashes[order])
-        self.hashes = np.insert(self.hashes, at, hashes[order])
-        self.reps = np.insert(self.reps, at, rows[order])
+        """Merge new keys' sorted hashes and representative rows into the index."""
+        at = np.searchsorted(self.hashes, hashes) + np.arange(len(hashes))
+        old = np.ones(len(self.hashes) + len(hashes), dtype=bool)
+        old[at] = False
 
-    def keep(self, items):
-        """Ascending indices of the items kept from one level, and the items."""
+        def merged(index, new):
+            out = np.empty(len(old), dtype=index.dtype)
+            out[at] = new
+            out[old] = index
+            return out
+
+        self.hashes = merged(self.hashes, hashes)
+        self.reps = merged(self.reps, rows)
+
+    def _presumed(self, hashes, order):
+        """Each item's presumed representative: the kept row of the first
+        index entry with its hash, else ~(the level's first item with its
+        hash); order sorts hashes."""
+        head = np.ones(len(hashes), dtype=bool)
+        head[1:] = hashes[order[1:]] != hashes[order[:-1]]
+        heads = np.flatnonzero(head)
+        group_hashes = hashes[order[heads]]
+        rep_of = ~np.minimum.reduceat(order, heads)
+        if len(self.hashes):
+            lo = np.searchsorted(self.hashes, group_hashes)
+            hit = self.hashes[np.minimum(lo, len(self.hashes) - 1)] == group_hashes
+            rep_of[hit] = self.reps[lo[hit]]
+        rep = np.empty(len(hashes), dtype=np.int64)
+        rep[order] = rep_of[np.cumsum(head) - 1]
+        return rep
+
+    def _classify(self, items, hashes, rep):
+        """Whether each item's key is new, and whether each repeat differs
+        from its key's representative under `same`, given the presumed
+        representatives."""
+        n = len(items)
+        repeat = np.flatnonzero(rep != ~np.arange(n))
+        equal, same = self._confirm(items, repeat, rep)
+        differs = np.zeros(n, dtype=bool)
+        differs[repeat] = ~same
+        if not np.all(equal):
+            # keys that share a hash: regroup by bytes, with the index's keys
+            rows = np.flatnonzero(np.isin(hashes, hashes[repeat[~equal]]))
+            entries = self.reps[np.isin(self.hashes, hashes[rows])]
+            words = self._words(items[rows])
+            if len(entries):
+                words = np.concatenate([self._words(self._rows(entries)), words])
+            _, first, inverse = np.unique(_byte_rows(words), return_index=True,
+                                          return_inverse=True)
+            rep[rows] = np.concatenate([entries, ~rows])[first][inverse[len(entries):]]
+            again = rows[rep[rows] != ~rows]
+            differs[rows] = False
+            differs[again] = ~self._confirm(items, again, rep)[1]
+        return rep == ~np.arange(n), differs
+
+    def _decide(self, items):
+        """Ascending indices of the items to keep from one level, entered
+        into the index."""
         hashes = np.empty(len(items), dtype=np.uint64)
         for lo in range(0, len(items), _CHUNK):
             hashes[lo:lo + _CHUNK] = _key_hash(self._words(items[lo:lo + _CHUNK]))
-        first_of = self._first_of_key(items, hashes)
-        first = np.flatnonzero(first_of == np.arange(len(items)))
-        found = self._lookup(items, first, hashes[first])
-        new = first[found < 0]
-        rep_row = np.full(len(items), -1, dtype=np.int64)
-        rep_row[first] = found
-        kept = np.zeros(len(items), dtype=bool)
-        kept[new] = True
-        repeat = np.flatnonzero(~kept)
-        differs = np.zeros(len(items), dtype=bool)
-        for lo in range(0, len(repeat), _CHUNK):
-            c = repeat[lo:lo + _CHUNK]
-            reps = items[first_of[c]]
-            rows = rep_row[first_of[c]]
-            earlier = np.flatnonzero(rows >= 0)
-            if len(earlier):
-                reps[earlier] = self._rows(rows[earlier])
-            differs[c] = ~self.same(items[c], reps)
+        order = np.argsort(hashes)
+        new, differs = self._classify(items, hashes, self._presumed(hashes, order))
+        kept = new.copy()
         for i in np.flatnonzero(differs):
-            others = self.others.setdefault(self._words(items[i:i + 1]).tobytes(), [])
-            if others and np.any(self.same(items[i], np.stack(others))):
+            item = items[i:i + 1]
+            others = self.others.setdefault(self._words(item).tobytes(), [])
+            if others and np.any(self.same(item[0], np.stack(others))):
                 continue
-            others.append(items[i].copy())
+            others.append(item[0].copy())
             kept[i] = True
         idx = np.flatnonzero(kept)
-        kept_items = items[idx]
-        if len(idx):
-            start = self.starts[-1]
-            self.kept.append(kept_items)
-            self.starts = np.append(self.starts, start + len(idx))
-            self._insert(hashes[new], start + np.searchsorted(idx, new))
-        return idx, kept_items
+        start = self.starts[-1]
+        new = order[new[order]]  # the first items of new keys, in hash order
+        self._insert(hashes[new], start - 1 + np.cumsum(kept)[new])
+        self.starts = np.append(self.starts, start + len(idx))
+        return idx
+
+    def keep(self, items):
+        """Ascending indices of the items kept from one level, and the items."""
+        idx = self._decide(items)
+        self.kept.append(items[idx])  # last, when the level's scratch is gone
+        return idx, self.kept[-1]
+
+
+class _Products:
+    """The candidates of a ball level, computed for any rows on demand.
+
+    Row i is stack[parent] @ mats[symbol] for links[i] = (parent, symbol).
+    Rows are computed a chunk at a time with one (d k, d) @ (d, d) product
+    per symbol, bit for bit the k stacked products, so a row does not depend
+    on the batch it is computed in.
+    """
+
+    def __init__(self, links, stack, mats):
+        self.parent, self.sym = links.T
+        self.stack, self.mats = stack, mats
+
+    def __len__(self):
+        return len(self.parent)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(len(self)))
+        d = self.stack.shape[1]
+        out = np.empty((len(rows), d, d), dtype=self.stack.dtype)
+        for lo in range(0, len(rows), _CHUNK):  # to bound the temporaries
+            chunk = rows[lo:lo + _CHUNK]
+            parent, sym = self.parent[chunk], self.sym[chunk]
+            for si, mat in enumerate(self.mats):
+                at = np.flatnonzero(sym == si)
+                out[lo + at] = (self.stack[parent[at]].reshape(-1, d) @ mat
+                                ).reshape(-1, d, d)
+        return out
 
 
 def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
@@ -429,26 +457,23 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
 
     for length in range(1, max_len + 1):
         # children in word order: by parent, then by symbol
-        links = np.argwhere(last[:, None] != inv_idx)
-        if len(links) == 0:
+        child = last[:, None] != inv_idx
+        count = np.count_nonzero(child)
+        if count == 0:
             return levels, max_len
-        if total + len(links) > budget:
+        if total + count > budget:
             return levels, length - 1
-        parent, sym = links.T
-        cand_m = np.empty((len(links), d, d), dtype=mats.dtype)
-        for si in range(len(symbols)):
-            rows = np.flatnonzero(sym == si)
-            # one (d k, d) @ (d, d) product, bit for bit the k stacked ones
-            cand_m[rows] = (stack[parent[rows]].reshape(-1, d) @ mats[si]
-                            ).reshape(-1, d, d)
+        links = np.argwhere(child)
+        products = _Products(links, stack, mats)
         if dedup:
-            keep, cand_m = seen.keep(cand_m)
+            keep, stack = seen.keep(products)
             if len(keep) == 0:
                 return levels, max_len
             links = links[keep]
+        else:
+            stack = products[:]
         total += len(links)
-        levels.append((links, cand_m))
-        stack = cand_m
+        levels.append((links, stack))
         last = links[:, 1]
     return levels, max_len
 

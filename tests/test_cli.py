@@ -41,12 +41,13 @@ def without_timestamp(text):
     return json.dumps(data, sort_keys=True)
 
 
-def fresh_process_output(code):
-    """stdout of `code` run by a new interpreter that imports this source tree."""
+def fresh_process_output(code, *args):
+    """stdout of `code`, given args, run by a new interpreter that imports
+    this source tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
@@ -72,6 +73,23 @@ def test_censuses_load_neither_scipy_nor_numpy_ma():
         "           if (m + '.').startswith(('scipy.', 'numpy.ma.'))])\n"
     )
     assert fresh_process_output(code) == "0 []"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_budget_limited_profile_holds_only_what_the_ball_keeps():
+    # a level's candidates are hashed, not stored, and the level that would
+    # overflow the budget is never built.  Each process reads its own peak
+    # RSS, VmHWM: ru_maxrss would keep the spawning process's peak
+    code = ("import contextlib, io, sys, chgeom.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['--command', 'profile', '--preset', 'fuchsian',\n"
+            "                   '--depth', sys.argv[1]])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(rc, status.split('VmHWM:')[1].split()[0])\n")
+    (rc2, small), (rc28, large) = (fresh_process_output(code, depth).split()
+                                   for depth in ("2", "28"))
+    assert (rc2, rc28) == ("0", "5")
+    assert (int(large) - int(small)) / 1024 <= 45  # MB; 58 when levels were stored whole
 
 
 def test_classify_vertical_translation_preset():

@@ -612,12 +612,27 @@ class TestDedupUnderDegenerateHash(TestDedupMatchesSequentialReference):
                             lambda words: real(words) & np.uint64(mask))
 
 
+def level_products(items):
+    """A ball level's candidates as one batch, as element_ball built them
+    before they were computed on demand: one GEMM per symbol."""
+    d = items.stack.shape[1]
+    out = np.empty((len(items), d, d), dtype=items.stack.dtype)
+    for si, mat in enumerate(items.mats):
+        rows = np.flatnonzero(items.sym == si)
+        out[rows] = (items.stack[items.parent[rows]].reshape(-1, d) @ mat
+                     ).reshape(-1, d, d)
+    return out
+
+
 @pytest.mark.parametrize("preset, depth, points", [
-    ("fuchsian", 12, False), ("schottky", 7, False), ("z2-lattice", 10, True)])
+    ("fuchsian", 12, False), ("schottky", 7, False), ("dilation", 40, False),
+    ("z2-lattice", 10, True)])
 def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
     # _FirstKept stores no keys and recomputes them to confirm a match, in
     # other batches than the level's; that is exact only if a key is a
-    # function of its item alone, bit for bit
+    # function of its item alone, bit for bit.  A ball level's items are
+    # products computed on demand, in batches of any rows, so a product
+    # must depend on its row alone too
     levels = []
     real_keep = gr._FirstKept.keep
 
@@ -627,30 +642,43 @@ def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
         return idx, kept
 
     monkeypatch.setattr(gr._FirstKept, "keep", keep)
+    monkeypatch.setattr(gr, "_CHUNK", 100)  # batches cut across every level
     gens = ps.group_preset(preset)
     if points:
         gr.orbit_enumerate(gens, depth, ball_origin())
     else:
         gr.element_ball(gens, depth)
-    checked = 0
+    checked = products = 0
     for key, items, idx in levels:
-        if (items.ndim == 2) != points:
+        if (isinstance(items, np.ndarray) and items.ndim == 2) != points:
             continue  # the orbit's element ball
-        want = key(items)[idx]  # the level as one batch
+        if isinstance(items, gr._Products):
+            full = level_products(items)
+            sub = np.arange(0, len(items), 3)
+            single = np.concatenate([items[i:i + 1] for i in sub])
+            assert items[:].tobytes() == full.tobytes()
+            assert items[sub].tobytes() == full[sub].tobytes()
+            assert items[sub[::-1]].tobytes() == full[sub[::-1]].tobytes()
+            assert single.tobytes() == full[sub].tobytes()
+            products += len(items)
+        want = key(items[:])[idx]  # the level as one batch
         kept = items[idx]
         alone = np.concatenate([key(kept[i:i + 1]) for i in range(len(kept))])
-        shifted = key(np.concatenate([items, kept]))[len(items):]
+        shifted = key(np.concatenate([items[:], kept]))[len(items):]
         assert alone.tobytes() == want.tobytes()
         assert key(kept[::-1])[::-1].tobytes() == want.tobytes()
         assert shifted.tobytes() == want.tobytes()
         checked += len(idx)
-    assert checked > 200
+    least = 60 if preset == "dilation" else 200  # a cyclic group's ball is thin
+    assert checked > least
+    assert (products > least) != points
 
 
 def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():
     # the budget-limited fuchsian profile: before keys were recomputed on
     # demand, the stored keys and level-wide key temporaries made the
-    # peak 3.2 times the returned levels
+    # peak 3.2 times the returned levels, and before candidates were
+    # computed on demand, a level's full candidate stack made it 2.23 times
     gens = ps.group_preset("fuchsian")
     tracemalloc.start()
     try:
@@ -662,6 +690,7 @@ def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():
     assert completed == 21
     returned = sum(links.nbytes + stack.nbytes for links, stack in levels)
     assert peak <= 2.25 * returned
+    assert peak <= 1.5 * returned
     # the group is real, so its stacks are float64: the peak stays under
     # 1.3 times what links and complex128 stacks take (1.89 times when the
     # stacks were complex128)

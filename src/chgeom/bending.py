@@ -218,17 +218,6 @@ def cartan_invariant(t):
     return float(np.angle(-prod))
 
 
-def tube_ok(ell, delta):
-    """Tube embedding condition sinh(ell/4) sinh(delta/2) <= 1/2.
-
-    Equality counts as satisfied; a roundoff whisker keeps boundary cases
-    constructed from arcsinh stable.
-    """
-    if ell <= 0 or delta <= 0:
-        raise ParameterError("tube parameters must be positive")
-    return bool(np.sinh(ell / 4.0) * np.sinh(delta / 2.0) <= 0.5 + 1e-12)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One angle sample: deformation evidence and the tracked invariant."""

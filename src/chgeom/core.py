@@ -25,7 +25,7 @@ eigenvalue moduli, which are unreliable for Jordan blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +168,6 @@ class Isometry:
     """
 
     matrix: np.ndarray
-    class_cache: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -425,20 +424,9 @@ def classify_isometry(m):
     defective.  Genuinely ambiguous inputs raise BorderlineClassError
     rather than guessing.
     """
-    if isinstance(m, Isometry):
-        if m.class_cache is not None:
-            return m.class_cache
-        mat = m.matrix
-    else:
-        mat = Isometry(np.asarray(m, dtype=complex)).matrix
-
-    tag = _classify_matrix(mat)
-    if isinstance(m, Isometry):
-        m.class_cache = tag
-    return tag
-
-
-def _classify_matrix(mat):
+    if not isinstance(m, Isometry):
+        m = Isometry(np.asarray(m, dtype=complex))
+    mat = m.matrix
     if is_projective_identity(mat):
         return "identity"
 

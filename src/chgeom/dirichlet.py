@@ -17,7 +17,11 @@ P = rho - 1, Q = rho + 1 and q = e^-s, that is f(q) < 0 for
     f(q) = (|Q|^2 - eps) q^2 - 2 (Re(P conj Q) + eps) q + |P|^2 - eps.
 
 f(1) = 4 |z|^2 > 0 unless w fixes the center, which the census rejects, so
-the exit is at s = -log q for the largest root q < 1 over the orbit.
+the exit is at s = -log q for the largest root q < 1 over the orbit.  The
+directions u are Halton points under an exact equal-area map onto the unit
+sphere of C^n (Shoemake, Uniform random rotations, Graphics Gems III, 1992,
+for n = 2); a seed shifts the points modulo 1 (Cranley and Patterson, SIAM
+J. Numer. Anal. 13, 1976).
 
 The slice census walks straight lines in the coordinates of an invariant
 slice (see parabolic_projection), which are not geodesics.  It marches them
@@ -66,13 +70,6 @@ class SideCensus:
     stable: bool = None
 
 
-def bisector_margin(z, y, gy):
-    """d(z, y) - d(z, g y); the zero set is the bisector."""
-    if y.projectively_equal(gy):
-        raise DegenerateInputError("bisector of a point with itself")
-    return core.bergman_distance(z, y) - core.bergman_distance(z, gy)
-
-
 def _ball_frame(center):
     """J-unitary matrix sending the ball-model origin to the center.
 
@@ -105,84 +102,46 @@ def _ball_frame(center):
     return core.Isometry(q)
 
 
-def _halton(count, dim, seed=None):
+def _halton(count, dim, seed=0):
     """First `count` points of the Halton sequence in [0, 1)^dim.
 
     Coordinate j is the radical inverse of the index in the j-th prime base
-    (Halton 1960).  A seed scrambles each digit position by a random
-    permutation (Owen, arXiv:1706.02808), drawn as scipy.stats.qmc.Halton
-    draws them, so the points match Halton(dim, seed=seed) bit for bit.
+    (Halton 1960), matching scipy.stats.qmc.Halton(dim, scramble=False) bit
+    for bit.  A seed shifts every point by the sequence's own seed-th point,
+    modulo 1 (a Cranley-Patterson rotation, SIAM J. Numer. Anal. 13, 1976);
+    its digits are taken with Python ints, so any seed >= 0 is valid and
+    seed 0 is no shift.
     """
-    rng = None if seed is None else np.random.default_rng(seed)
     bases = [p for p in range(2, max(dim, 2) ** 2)
              if all(p % q for q in range(2, math.isqrt(p) + 1))][:dim]
     out = np.zeros((count, dim))
+    shift = np.zeros(dim)
     for j, base in enumerate(bases):
-        # one permutation per digit position down to float64 resolution
-        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
-        if rng is not None:
-            for perm in perms:
-                rng.shuffle(perm)
-        q = np.arange(count)
-        scale = 1.0 / base
-        for perm in perms:
-            out[:, j] += perm[q % base] * scale
-            scale /= base
-            q //= base
-    return out
-
-
-# Wichura's AS 241 (PPND16, Appl. Statist. 37, 1988): numerator and
-# denominator coefficients, highest degree first, of the central rational
-# approximation in r = 0.180625 - q^2 and of the two tail approximations
-# in r = sqrt(-log(min(p, 1 - p))) - 1.6 and - 5.
-_AS241 = (
-    ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-      4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-      1.3314166789178437745e2, 3.3871328727963666080e0),
-     (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-      2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-      4.2313330701600911252e1, 1.0)),
-    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-      1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-      4.63033784615654529590e0, 1.42343711074968357734e0),
-     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-      2.05319162663775882187e0, 1.0)),
-    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-      5.46378491116411436990e0, 6.65790464350110377720e0),
-     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-      5.99832206555887937690e-1, 1.0)),
-)
-
-
-def _ndtri(p):
-    """Standard normal quantile of p in (0, 1), by AS 241 (about 1e-16 relative)."""
-    p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    (num, den), near, far = _AS241
-    r = 0.180625 - q[central] ** 2
-    out[central] = q[central] * np.polyval(num, r) / np.polyval(den, r)
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-    for coefs, mask, shift in ((near, r <= 5.0, 1.6), (far, r > 5.0, 5.0)):
-        mask &= ~central
-        t = r[mask] - shift
-        out[mask] = np.copysign(np.polyval(coefs[0], t) / np.polyval(coefs[1], t),
-                                q[mask])
-    return out
+        q, k, scale = np.arange(count), seed, 1.0 / base
+        while q.any() or k:
+            out[:, j] += (q % base) * scale
+            shift[j] += (k % base) * scale
+            q, k, scale = q // base, k // base, scale / base
+    return (out + shift) % 1.0
 
 
 def _ray_directions(count, real_dim, seed=0):
-    """Quasi-uniform unit directions via Gaussianized low-discrepancy points."""
-    u = _halton(count, real_dim, seed=seed)
-    g = _ndtri((np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12) + 1.0) / 2.0)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
+    """Quasi-uniform unit vectors u of C^n, as (count, 2n) real rows.
+
+    Real parts come first.  Halton points go through an exact equal-area
+    map: the shares |u_k|^2 are Dirichlet(1, ..., 1) by stick breaking on
+    the first n - 1 coordinates, and the last n coordinates are the phases.
+    """
+    n = real_dim // 2
+    h = _halton(count, 2 * n - 1, seed=seed)
+    w = np.empty((count, n))
+    rest = np.ones(count)
+    for k in range(n - 1):
+        w[:, k] = rest * (1.0 - (1.0 - h[:, k]) ** (1.0 / (n - 1 - k)))
+        rest = rest - w[:, k]
+    w[:, -1] = rest
+    r, angle = np.sqrt(w), 2 * np.pi * h[:, n - 1:]
+    return np.hstack([r * np.cos(angle), r * np.sin(angle)])
 
 
 def _chord_lifts(directions, s):

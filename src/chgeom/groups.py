@@ -44,8 +44,6 @@ from .errors import (
     DimensionError,
     InvalidPackingError,
     ParameterError,
-    PointAtInfinityError,
-    PoleError,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -698,48 +696,3 @@ def boxdim_estimate(cloud, scales):
     slope, intercept = np.polyfit(x, logs, 1)
     residual = float(np.max(np.abs(slope * x + intercept - logs)))
     return BoxDimFit(slope=float(slope), residual=residual, counts=tuple(counts))
-
-
-def cusp_neighborhood_contains(p, cusp_point, invariant_model, r):
-    """Membership in the standard cusp neighborhood of radius r at a cusp.
-
-    Inverts at the cusp point and tests whether the image sits at Cygan
-    distance >= 1/r from the invariant subgroup model (the vertical axis or
-    the real horizontal line).
-    """
-    if r <= 0:
-        raise ParameterError("radius must be positive")
-    p = hb._horo(p)
-    if hb.cygan_dist(p, cusp_point) <= 1e-12:
-        raise PoleError("query point coincides with the cusp point")
-    inv = sphere_inversion(cusp_point, 1.0)
-    try:
-        image = hb.projective_to_horo(
-            core.projective_apply(inv, hb.horo_to_projective(p))
-        )
-    except PointAtInfinityError:
-        raise PoleError("query point inverts to infinity") from None
-    if invariant_model == "vertical-axis":
-        dist = hb.dist_to_vertical_axis(image)
-    elif invariant_model == "horizontal-line":
-        dist = _dist_to_horizontal_line(image)
-    else:
-        raise ParameterError(f"unknown invariant model {invariant_model!r}")
-    return bool(dist >= 1.0 / r)
-
-
-def _dist_to_horizontal_line(p):
-    """Cygan distance from p to the real horizontal line {(x, 0): x real}.
-
-    With xi = a + ib and y = x - a, the squared gauge from p to (x, 0) is
-    F(y) = (y^2 + b^2 + u)^2 + (v + 2b(y + a))^2.  F' is 4 times the cubic
-    y^3 + (3b^2 + u) y + b(v + 2ab), which increases in y, so F is convex
-    and least at the cubic's one real root.  Evaluating F at the real parts
-    of all three roots therefore finds that minimum.
-    """
-    if p.n != 2:
-        raise DimensionError("the horizontal-line model needs n = 2")
-    a, b = p.xi[0].real, p.xi[0].imag
-    y = np.roots([1.0, 0.0, 3.0 * b * b + p.u, b * (p.v + 2.0 * a * b)]).real
-    gauge_sq = (y * y + b * b + p.u) ** 2 + (p.v + 2.0 * b * (y + a)) ** 2
-    return float(gauge_sq.min() ** 0.25)

@@ -212,17 +212,6 @@ def similarity_compose(s1, s2):
     return HeisSimilarity(rotation=a, translation=t, dilation=r)
 
 
-def rotational_part(s):
-    """The unitary block A; the translation test is A = I and r = 1."""
-    return s.rotation
-
-
-def is_translation(s, tol=ROTATION_TOL):
-    eye = np.eye(s.rotation.shape[0])
-    return (np.max(np.abs(s.rotation - eye)) <= tol
-            and abs(s.dilation - 1.0) <= tol)
-
-
 def _embed_rotation(a):
     k = a.shape[0]
     m = np.eye(k + 2, dtype=complex)
@@ -333,10 +322,3 @@ def projective_to_horo(p, tol=1e-12):
     if not finite[0]:
         raise PointAtInfinityError("the point at infinity has no horospherical coordinates")
     return HoroPoint(xi[0], v[0], u[0])
-
-
-def dist_to_vertical_axis(p):
-    """Cygan distance to the vertical axis {(0, t)}: (|xi|^2 + u)^(1/2)."""
-    p = _horo(p)
-    q = float(np.sum(np.abs(p.xi) ** 2))
-    return (q + p.u) ** 0.5

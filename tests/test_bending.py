@@ -356,23 +356,6 @@ class TestCartanInvariant:
             bd.cartan_invariant((interior, boundary_point(1), boundary_point(2)))
 
 
-class TestTubeOk:
-    def test_small_length_true(self):
-        assert bd.tube_ok(1e-6, 5.0)
-
-    def test_boundary_case_true(self):
-        assert bd.tube_ok(4 * np.arcsinh(1.0), 2 * np.arcsinh(0.5))
-
-    def test_large_both_false(self):
-        assert not bd.tube_ok(4.0, 4.0)
-
-    def test_positivity_required(self):
-        with pytest.raises(ValueError):
-            bd.tube_ok(0.0, 1.0)
-        with pytest.raises(ValueError):
-            bd.tube_ok(1.0, -2.0)
-
-
 class TestBendSweep:
     def test_hnn_sweep_separates(self):
         report = bd.bend_sweep(

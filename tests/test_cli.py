@@ -59,8 +59,8 @@ def test_import_leaves_scipy_stats_and_special_unloaded():
 
 
 def test_censuses_load_neither_scipy_nor_numpy_ma():
-    # the census Gaussianizes its rays in numpy and lists sides without
-    # np.unique, whose first call imports numpy.ma
+    # the census maps Halton points to rays without numpy.random and lists
+    # sides without np.unique, whose first call imports numpy.ma
     code = (
         "import contextlib, io, sys\n"
         "import chgeom.cli as cli, chgeom.dirichlet as dm, chgeom.presets as ps\n"
@@ -70,7 +70,7 @@ def test_censuses_load_neither_scipy_nor_numpy_ma():
         "dm.pullback_domain_sides(ps.group_preset('cyclic-vertical'),\n"
         "                         'vertical-axis', 1.0, 3)\n"
         "print(rc, [m for m in sys.modules\n"
-        "           if (m + '.').startswith(('scipy.', 'numpy.ma.'))])\n"
+        "           if (m + '.').startswith(('scipy.', 'numpy.ma.', 'numpy.random.'))])\n"
     )
     assert fresh_process_output(code) == "0 []"
 

@@ -226,13 +226,6 @@ def test_classify_conjugation_invariant():
         assert core.classify_isometry(m.inverse()) == want
 
 
-def test_classify_cache():
-    m = hb.embed_dilation(np.exp(0.5))
-    assert m.class_cache is None
-    core.classify_isometry(m)
-    assert m.class_cache == "loxodromic"
-
-
 def test_borderline_raises():
     # modulus spread sits between the decision threshold and the noise floor
     m = hb.embed_rotation(np.array([[np.exp(1j * np.pi / 3)]])) @ hb.embed_dilation(np.exp(2e-9))

@@ -43,32 +43,6 @@ def slab_center(u=1.0):
     )
 
 
-class TestBisectorMargin:
-    def test_sign_near_each_endpoint(self):
-        y = slab_center()
-        g = hb.embed_translation(np.zeros(1, dtype=complex), 2.0)
-        gy = core.projective_apply(g, y)
-        near_y = core.ProjectivePoint(
-            hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 0.1, 1.0)).lift
-        )
-        assert dm.bisector_margin(near_y, y, gy) < 0
-        assert dm.bisector_margin(near_y, gy, y) > 0
-
-    def test_midpoint_is_equidistant(self):
-        y = slab_center()
-        g = hb.embed_translation(np.zeros(1, dtype=complex), 2.0)
-        gy = core.projective_apply(g, y)
-        mid = core.ProjectivePoint(
-            hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 1.0, 1.0)).lift
-        )
-        assert abs(dm.bisector_margin(mid, y, gy)) < 1e-12
-
-    def test_coincident_points_rejected(self):
-        y = slab_center()
-        with pytest.raises(DegenerateInputError):
-            dm.bisector_margin(y, y, y)
-
-
 class TestSideCensus:
     def test_cyclic_vertical_two_sides(self):
         census = dm.dirichlet_side_census(
@@ -88,7 +62,7 @@ class TestSideCensus:
         c3 = dm.dirichlet_side_census(z2_lattice(), slab_center(), 3, rays=2000)
         c6 = dm.dirichlet_side_census(z2_lattice(), slab_center(), 6, rays=2000)
         assert len(c3.sides) == 12
-        assert len(c6.sides) == 14
+        assert len(c6.sides) == 15
         assert set(c3.sides) < set(c6.sides)
 
     def test_nearest_generators_are_sides(self):
@@ -913,52 +887,45 @@ def test_ball_exits_are_first_exits(key, rays):
             assert gap[-1] > -tol[-1]
 
 
-# scipy is a test-only oracle: the package computes the normal quantile
-# itself (AS 241), so no chgeom process imports scipy
+class TestHalton:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_scipy_bit_for_bit(self, dim):
+        from scipy.stats import qmc
+
+        for count in (1, 17, 2000, 10000):
+            plain = qmc.Halton(d=dim, scramble=False).random(count)
+            assert np.array_equal(dm._halton(count, dim), plain)
+            for seed in (1, 7, 12345):
+                # the shift is the plain sequence's own seed-th point
+                shift = qmc.Halton(d=dim, scramble=False).fast_forward(seed).random(1)
+                assert np.array_equal(dm._halton(count, dim, seed=seed),
+                                      (plain + shift) % 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**70), dim=st.integers(1, 6))
+    def test_any_seed_gives_points_in_the_unit_cube(self, seed, dim):
+        pts = dm._halton(50, dim, seed=seed)
+        assert np.all(np.isfinite(pts))
+        assert np.all((pts >= 0.0) & (pts < 1.0))
 
 
-def scipy_ray_directions(count, real_dim, seed=0):
-    """The census directions as computed with scipy's erfinv, kept as the oracle."""
-    from scipy.special import erfinv
-
-    u = dm._halton(count, real_dim, seed=seed)
-    g = erfinv(np.clip(2.0 * u - 1.0, -1 + 1e-12, 1 - 1e-12)) * np.sqrt(2.0)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
-
-
-def test_ndtri_matches_scipy():
-    from scipy.special import ndtri
-
-    p = np.random.default_rng(5).random(10**6)
-    # the clip bounds, both branch edges of AS 241 and the center
-    p = np.concatenate([p, [5e-13, 1 - 5e-13, 0.075, 0.925, 0.5]])
-    got, want = dm._ndtri(p), ndtri(p)
-    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
-    assert np.array_equal(np.sign(got), np.sign(p - 0.5))
-
-
-@pytest.mark.parametrize("dim", [2, 4, 6])
-def test_ray_directions_match_the_erfinv_formula(dim):
+def test_ray_directions_are_shoemakes_map_for_n_2():
     for seed in (0, 1, 7):
-        got = dm._ray_directions(2000, dim, seed=seed)
-        want = scipy_ray_directions(2000, dim, seed=seed)
-        assert np.max(np.abs(got - want)) <= 2e-15
+        x = dm._halton(2000, 3, seed=seed)
+        a, b = 2 * np.pi * x[:, 1], 2 * np.pi * x[:, 2]
+        r1, r2 = np.sqrt(x[:, 0]), np.sqrt(1.0 - x[:, 0])
+        want = np.column_stack([r1 * np.cos(a), r2 * np.cos(b),
+                                r1 * np.sin(a), r2 * np.sin(b)])
+        assert np.max(np.abs(dm._ray_directions(2000, 4, seed=seed) - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("preset,radius", [("z2-lattice", 6),
-                                           ("cyclic-vertical", 6),
-                                           ("schottky", 3)])
-def test_census_matches_erfinv_directions(monkeypatch, preset, radius):
-    gens = ps.group_preset(preset)
-    center = cli._ball_origin(gens.dim)
-    for seed in range(4):
-        got = dm.dirichlet_side_census(gens, center, radius, seed=seed)
-        with monkeypatch.context() as m:
-            m.setattr(dm, "_ray_directions", scipy_ray_directions)
-            want = dm.dirichlet_side_census(gens, center, radius, seed=seed)
-        assert got.sides == want.sides
-        assert got.unbounded_ray_fraction == want.unbounded_ray_fraction
-        for w in want.sides:
-            assert abs(got.margins[w] - want.margins[w]) <= 1e-9 * want.margins[w]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ray_directions_are_unit_and_balanced(n):
+    for seed in (0, 5):
+        dirs = dm._ray_directions(2000, 2 * n, seed=seed)
+        assert dirs.shape == (2000, 2 * n)
+        assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+        # a uniform unit vector of R^2n has mean 0 and second moment I/2n
+        assert np.max(np.abs(dirs.mean(axis=0))) < 0.01
+        second = dirs.T @ dirs / len(dirs)
+        assert np.max(np.abs(second - np.eye(2 * n) / (2 * n))) < 0.01

@@ -16,11 +16,9 @@ from chgeom import presets as ps
 from chgeom.errors import (
     BudgetExceededError,
     DegenerateInputError,
-    DimensionError,
     FormViolationError,
     InvalidPackingError,
     InvalidPointError,
-    PoleError,
 )
 
 
@@ -875,19 +873,6 @@ class TestBatchedProbe:
         assert gap == self.per_matrix_gap(gens, 6)
 
 
-class TestHalton:
-    @pytest.mark.parametrize("dim", range(1, 7))
-    def test_matches_scipy_bit_for_bit(self, dim):
-        from scipy.stats import qmc
-
-        for count in (1, 17, 2000, 10000):
-            plain = qmc.Halton(d=dim, scramble=False).random(count)
-            assert np.array_equal(dm._halton(count, dim), plain)
-            for seed in (0, 1, 7):
-                scrambled = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
-                assert np.array_equal(dm._halton(count, dim, seed=seed), scrambled)
-
-
 class TestLimitSet:
     def test_cyclic_dilation_accumulates(self):
         gens = gr.GroupGens([("a", hb.embed_dilation(np.exp(1.0)))])
@@ -959,67 +944,3 @@ class TestBoxDim:
             gr.boxdim_estimate(cloud, [0.3, 0.2, 0.1])  # too few
         with pytest.raises(ValueError):
             gr.boxdim_estimate(cloud, [0.3, 0.25, 0.2, 0.15])  # under a decade
-
-
-class TestCuspNeighborhood:
-    def test_on_axis_image_not_contained(self):
-        p = hb.HeisPoint(np.zeros(1, dtype=complex), 10.0)
-        cusp = hb.HeisPoint(np.zeros(1, dtype=complex), 0.0)
-        assert not gr.cusp_neighborhood_contains(p, cusp, "vertical-axis", 1.0)
-
-    def test_unit_distance_image_contained(self):
-        p = hb.HeisPoint(np.array([1.0 + 0j]), 0.0)
-        cusp = hb.HeisPoint(np.zeros(1, dtype=complex), 0.0)
-        assert gr.cusp_neighborhood_contains(p, cusp, "vertical-axis", 10.0)
-
-    def test_pole_error_at_cusp(self):
-        cusp = hb.HeisPoint(np.zeros(1, dtype=complex), 0.0)
-        with pytest.raises(PoleError):
-            gr.cusp_neighborhood_contains(
-                hb.HeisPoint(np.zeros(1, dtype=complex), 0.0), cusp, "vertical-axis", 1.0
-            )
-
-    def test_horizontal_line_known_answer(self):
-        # the unit inversion about the origin maps p to (3, 16); with
-        # Im xi = 0 the squared gauge to (x, 0) is (x - 3)^4 + 16^2, so the
-        # image lies at distance 4 from the line
-        cusp = hb.HeisPoint(np.zeros(1, dtype=complex), 0.0)
-        p = hb.heis_inversion(hb.HeisPoint(np.array([3.0 + 0j]), 16.0))
-        assert gr.cusp_neighborhood_contains(p, cusp, "horizontal-line", 0.3)
-        assert not gr.cusp_neighborhood_contains(p, cusp, "horizontal-line", 0.2)
-
-
-def ref_dist_to_horizontal_line(p):
-    """The bounded scalar minimization that the closed form replaced."""
-    from scipy.optimize import minimize_scalar
-
-    def objective(x):
-        return hb.cygan_dist(hb.HeisPoint(np.array([x + 0j]), 0.0), p)
-
-    span = 2.0 + 2.0 * float(np.max(np.abs(p.xi))) + abs(p.v) + p.u
-    res = minimize_scalar(objective, bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.fun)
-
-
-class TestHorizontalLineDistance:
-    def test_closed_form_matches_optimizer(self):
-        rng = np.random.default_rng(8)
-        for k in range(500):
-            scale = 10.0 ** rng.uniform(-2, 2)
-            xi = scale * complex(*rng.normal(size=2))
-            u = 0.0 if k % 2 else scale**2 * rng.exponential()
-            p = hb.HoroPoint(np.array([xi]), scale**2 * rng.normal(), u)
-            want = ref_dist_to_horizontal_line(p)
-            assert abs(gr._dist_to_horizontal_line(p) - want) <= 1e-9 * want
-
-    def test_known_values(self):
-        # on the line, above it (u adds to the gauge), and off it in Im xi
-        assert gr._dist_to_horizontal_line(hb.HoroPoint([5.0], 0.0, 0.0)) == 0.0
-        assert gr._dist_to_horizontal_line(hb.HoroPoint([5.0], 0.0, 9.0)) == 3.0
-        assert abs(gr._dist_to_horizontal_line(hb.HoroPoint([2j], 0.0, 0.0))
-                   - 2.0) <= 1e-15
-
-    def test_needs_n_2(self):
-        with pytest.raises(DimensionError):
-            gr._dist_to_horizontal_line(hb.HoroPoint([1.0, 1j], 0.0, 0.0))

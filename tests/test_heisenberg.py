@@ -318,35 +318,3 @@ def test_boundary_compatibility():
         lhs = core.projective_apply(hb.embed_isometry(s), hb.horo_to_projective(p))
         rhs = hb.horo_to_projective(hb.heis_similarity_apply(s, p))
         assert lhs.projectively_equal(rhs, tol=1e-8)
-
-
-def test_dist_to_vertical_axis_examples():
-    assert hb.dist_to_vertical_axis(hb.HoroPoint(np.zeros(1), 5.0, 0.0)) == 0.0
-    assert np.isclose(hb.dist_to_vertical_axis(hb.HoroPoint(np.array([1.0 + 0j]), 0.0, 0.0)), 1.0)
-    assert np.isclose(hb.dist_to_vertical_axis(hb.HoroPoint(np.array([1.0 + 0j]), 7.0, 3.0)), 2.0)
-
-
-def test_dist_to_vertical_axis_is_infimum():
-    rng = np.random.default_rng(47)
-    for _ in range(50):
-        p = rand_heis(rng)
-        d = hb.dist_to_vertical_axis(p.as_horo())
-        # infimum over the axis, attained at the matching height
-        at_best = hb.cygan_dist(hb.HeisPoint(np.zeros(1), p.v), p)
-        assert np.isclose(at_best, d, atol=1e-12)
-        for t in rng.normal(scale=5.0, size=20):
-            assert hb.cygan_dist(hb.HeisPoint(np.zeros(1), float(t)), p) >= d - 1e-12
-
-
-def test_rotational_part():
-    s = hb.HeisSimilarity(translation=hb.HeisPoint(np.array([1.0 + 0j]), 2.0))
-    assert np.allclose(hb.rotational_part(s), np.eye(1))
-    assert hb.is_translation(s)
-
-    rot = np.array([[np.exp(1j * np.pi / 3)]])
-    s2 = hb.HeisSimilarity(rotation=rot)
-    assert np.allclose(hb.rotational_part(s2), rot)
-    assert not hb.is_translation(s2)
-
-    screw = hb.HeisSimilarity(rotation=rot, translation=hb.HeisPoint(np.array([1.0 + 0j]), 0.0))
-    assert np.allclose(hb.rotational_part(screw), rot)

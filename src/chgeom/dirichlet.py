@@ -51,7 +51,7 @@ DEFAULT_RAYS = 2000
 STEP = 0.05
 BISECTION_TOL = 1e-9
 SIDE_MARGIN = 1e-6
-_EXIT_CHUNK = 1024  # rays per product with the orbit, to bound temporaries
+_EXIT_CELLS = 1 << 16  # ray-orbit pairs per chunk, to bound temporaries
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def _chord_lifts(directions, s):
 def _census_orbit(gens, enum_radius, budget):
     """spell(rows), the words of the given rows of mats, and mats, the
     matrices of the nontrivial elements of the word ball."""
-    levels = gr._complete_ball(gens, enum_radius, budget)
+    levels, _ = gr.element_ball(gens, enum_radius, budget)
     if len(levels) == 1:
         raise DegenerateInputError("no nontrivial elements to census")
     words = gr.Words(gens, levels)  # the identity is its element 0
@@ -179,14 +179,15 @@ def _horizon(spell, base_lift, orbit_lifts, norm):
 def _certify(spell, witness, orbit_lifts, norm, witness_norm, nrays, margin,
              enum_radius):
     """SideCensus from the witnesses' Bergman distances to the orbit, taken
-    _EXIT_CHUNK witnesses at a time: each keeps only its nearest image and
-    its margin over the runner-up, and a side keeps its least margin.
-    witness_norm is the form norm of every witness lift, or None to compute
-    each."""
+    _EXIT_CELLS distances at a time: each witness keeps only its nearest
+    image and its margin over the runner-up, and a side keeps its least
+    margin.  witness_norm is the form norm of every witness lift, or None
+    to compute each."""
     least = np.full(len(orbit_lifts), np.inf)
     side = np.zeros(len(orbit_lifts), dtype=bool)
-    for lo in range(0, len(witness), _EXIT_CHUNK):
-        dist = core._bergman_distances(witness[lo : lo + _EXIT_CHUNK], orbit_lifts,
+    chunk = max(1, _EXIT_CELLS // len(orbit_lifts))
+    for lo in range(0, len(witness), chunk):
+        dist = core._bergman_distances(witness[lo : lo + chunk], orbit_lifts,
                                        norm, witness_norm)
         best = np.argmin(dist, axis=1)
         second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
@@ -216,8 +217,9 @@ def _ball_exits(dirs, orbit_lifts, norm):
     eps = -norm / (last.real ** 2 + last.imag ** 2)
     u = dirs[:, :n] + 1j * dirs[:, n:]
     q = np.empty(dirs.shape[0])
-    for lo in range(0, dirs.shape[0], _EXIT_CHUNK):
-        rho = u[lo : lo + _EXIT_CHUNK] @ zbar
+    chunk = max(1, _EXIT_CELLS // len(orbit_lifts))
+    for lo in range(0, dirs.shape[0], chunk):
+        rho = u[lo : lo + chunk] @ zbar
         x = rho.real
         y2 = rho.imag ** 2
         # f = a q^2 - 2 b q + c has b^2 - a c = 4 h^2 for
@@ -234,7 +236,7 @@ def _ball_exits(dirs, orbit_lifts, norm):
             root = c / t
         # rounding alone can put a root at or above 1
         root[~crossing | ~(root < 1.0)] = 0.0
-        q[lo : lo + _EXIT_CHUNK] = np.max(root, axis=1, initial=0.0)
+        q[lo : lo + chunk] = np.max(root, axis=1, initial=0.0)
     with np.errstate(divide="ignore"):
         return -np.log(q)
 
@@ -316,8 +318,10 @@ def dirichlet_side_census(
     spell, mats = _census_orbit(gens, enum_radius, budget)
 
     back = _ball_frame(center).inverse().matrix
-    # stacked matrix-vector products: bit for bit those of a per-matrix loop
-    orbit_lifts = (back @ (mats @ center.lift)[..., None])[..., 0]
+    # one flat product, then stacked ones: bit for bit a per-matrix loop
+    d = len(center.lift)
+    lifts = (mats.reshape(-1, d) @ center.lift).reshape(-1, d, 1)
+    orbit_lifts = (back @ lifts)[..., 0]
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
@@ -450,6 +454,7 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     # slice paths are not unit-speed geodesics; march the slice coordinate
     # until the ambient distance to the center clears the horizon
     return _first_exit_census(
-        spell, ylift, mats @ ylift, ynorm, path, dirs,
+        spell, ylift, (mats.reshape(-1, n + 1) @ ylift).reshape(-1, n + 1),
+        ynorm, path, dirs,
         lambda horizon: horizon * 3.0 + 10.0, margin, enum_radius,
     )

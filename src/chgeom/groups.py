@@ -12,20 +12,24 @@ An orbit is one columnar `Orbit` (word lengths, a lift stack, distances
 to the basepoint, and the words on demand) in that order; nothing is
 built per point.
 
+The budget caps the elements of a ball: as soon as the kept links of a
+level show that the next level cannot fit, `element_ball` raises, and it
+has not yet computed that level's matrices, which the error discards.
+
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
 entries divided by a pivot entry and rounded to 9 digits, and two keys are
 equal when their bytes are.  Only 64-bit key hashes are stored: one sorted
-index of them, with back-pointers into the kept stacks, serves every level.
-A ball level's candidates are not stored either: `_Products` computes any
-of their rows from the links on demand.  A level hashes its keys a chunk
-at a time and sorts the hashes once, which groups the level and searches
-the index.  One pass then confirms each repeat against its presumed
-representative on the full keys, recomputed from the two items, which is
-exact because a key depends on its item alone; keys that share a hash are
-told apart by their bytes, so a hash collision never merges items.  An
-item with a new key is kept; one with a seen key is dropped when it
-matches a kept item with that key (matrix gap <= 1e-6, or lift gap <=
+index of them, with 32-bit back-pointers into the kept stacks, serves every
+level.  A ball level's candidates are not stored either: `_Products`
+computes any of their rows from the links on demand.  A level hashes its
+keys a chunk at a time and sorts the hashes once, which groups the level
+and searches the index.  One pass then confirms each repeat against its
+presumed representative on the full keys, recomputed from the two items,
+which is exact because a key depends on its item alone; keys that share a
+hash are told apart by their bytes, so a hash collision never merges
+items.  An item with a new key is kept; one with a seen key is dropped when
+it matches a kept item with that key (matrix gap <= 1e-6, or lift gap <=
 PROJ_TOL for points).  Items with different keys are never compared.  The
 kept items are computed last.  All of this is float64, so far-out orbit
 points whose lifts agree to rounding merge though distinct.
@@ -230,7 +234,7 @@ def _byte_rows(words):
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
-_CHUNK = 8192  # items per batch of products, keys or `same`, to bound temporaries
+_CHUNK = 2048  # items per batch of products, keys or `same`, to bound temporaries
 
 
 class _FirstKept:
@@ -257,15 +261,16 @@ class _FirstKept:
     index entry of its hash (np.unique), then tested again.  So a collision
     costs time but never merges items or fails.  Items whose key is new
     are kept; items that differ from their representative are checked, in
-    order, against the key's other kept items.  The kept items are
-    computed last.
+    order, against the key's other kept items.  `decide` leaves the index
+    and the stacks as they are, and `commit` enters its decision and
+    computes the kept items, last.
     """
 
     def __init__(self, same, key):
         self.same = same  # batched: (stack, stack) -> bool array
         self.key = key  # batched: stack -> key rows, each of its item alone
         self.hashes = np.empty(0, dtype=np.uint64)  # sorted
-        self.reps = np.empty(0, dtype=np.int64)  # kept row of each hash's key
+        self.reps = np.empty(0, dtype=np.int32)  # kept row of each hash's key
         self.kept = []  # per level: kept items
         self.starts = np.zeros(1, dtype=np.int64)  # first kept row per level
         self.others = {}  # key bytes -> kept items after the first
@@ -320,27 +325,30 @@ class _FirstKept:
         """Each item's presumed representative: the kept row of the first
         index entry with its hash, else ~(the level's first item with its
         hash); order sorts hashes."""
+        ordered = hashes[order]
         head = np.ones(len(hashes), dtype=bool)
-        head[1:] = hashes[order[1:]] != hashes[order[:-1]]
-        heads = np.flatnonzero(head)
-        group_hashes = hashes[order[heads]]
-        rep_of = ~np.minimum.reduceat(order, heads)
+        head[1:] = ordered[1:] != ordered[:-1]
+        group_hashes = ordered[head]
+        del ordered
+        rep_of = ~np.minimum.reduceat(order, np.flatnonzero(head).astype(np.int32))
         if len(self.hashes):
             lo = np.searchsorted(self.hashes, group_hashes)
-            hit = self.hashes[np.minimum(lo, len(self.hashes) - 1)] == group_hashes
+            np.minimum(lo, len(self.hashes) - 1, out=lo)  # lo == len is no hit
+            hit = self.hashes[lo] == group_hashes
             rep_of[hit] = self.reps[lo[hit]]
-        rep = np.empty(len(hashes), dtype=np.int64)
-        rep[order] = rep_of[np.cumsum(head) - 1]
+        del group_hashes
+        rep = np.empty(len(hashes), dtype=np.int32)
+        rep[order] = rep_of[np.cumsum(head, dtype=np.int32) - 1]
         return rep
 
     def _classify(self, items, hashes, rep):
         """Whether each item's key is new, and whether each repeat differs
         from its key's representative under `same`, given the presumed
         representatives."""
-        n = len(items)
-        repeat = np.flatnonzero(rep != ~np.arange(n))
+        own = ~np.arange(len(items), dtype=np.int32)
+        repeat = np.flatnonzero(rep != own)
         equal, same = self._confirm(items, repeat, rep)
-        differs = np.zeros(n, dtype=bool)
+        differs = np.zeros(len(items), dtype=bool)
         differs[repeat] = ~same
         if not np.all(equal):
             # keys that share a hash: regroup by bytes, with the index's keys
@@ -355,15 +363,16 @@ class _FirstKept:
             again = rows[rep[rows] != ~rows]
             differs[rows] = False
             differs[again] = ~self._confirm(items, again, rep)[1]
-        return rep == ~np.arange(n), differs
+        return rep == own, differs
 
-    def _decide(self, items):
-        """Ascending indices of the items to keep from one level, entered
-        into the index."""
+    def decide(self, items):
+        """One level's decision: the ascending indices of the items to keep,
+        and the sorted hashes of its new keys with their representatives'
+        rows in the kept stacks."""
         hashes = np.empty(len(items), dtype=np.uint64)
         for lo in range(0, len(items), _CHUNK):
             hashes[lo:lo + _CHUNK] = _key_hash(self._words(items[lo:lo + _CHUNK]))
-        order = np.argsort(hashes)
+        order = np.argsort(hashes).astype(np.int32)
         new, differs = self._classify(items, hashes, self._presumed(hashes, order))
         kept = new.copy()
         for i in np.flatnonzero(differs):
@@ -374,17 +383,22 @@ class _FirstKept:
             others.append(item[0].copy())
             kept[i] = True
         idx = np.flatnonzero(kept)
-        start = self.starts[-1]
         new = order[new[order]]  # the first items of new keys, in hash order
-        self._insert(hashes[new], start - 1 + np.cumsum(kept)[new])
-        self.starts = np.append(self.starts, start + len(idx))
-        return idx
+        rows = np.cumsum(kept, dtype=np.int32)[new] + (self.starts[-1] - 1)
+        return idx, hashes[new], rows
+
+    def commit(self, items, decision):
+        """Enter a level's decision into the index, and store its kept items."""
+        idx, hashes, rows = decision
+        self._insert(hashes, rows)
+        self.starts = np.append(self.starts, self.starts[-1] + len(idx))
+        self.kept.append(items[idx])
+        return self.kept[-1]
 
     def keep(self, items):
         """Ascending indices of the items kept from one level, and the items."""
-        idx = self._decide(items)
-        self.kept.append(items[idx])  # last, when the level's scratch is gone
-        return idx, self.kept[-1]
+        decision = self.decide(items)
+        return decision[0], self.commit(items, decision)
 
 
 class _Products:
@@ -422,9 +436,11 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     """Breadth-first reduced-word ball of group elements.
 
     Returns (levels, completed) where levels[k] = (links, matrix stack) for
-    word length k, ordered lexicographically, and completed is the largest
-    length fully enumerated (== max_len unless the budget ran out).  Row i
-    of the (m, 2) int array links is (parent, symbol): element i of level k
+    word length k, ordered lexicographically, and completed == max_len.
+    Raises BudgetExceededError with completed_radius L as soon as the kept
+    links of level L show that level L + 1 does not fit the budget: before
+    level L's stack is computed or its keys enter the index.  Row i of the
+    (m, 2) int32 array links is (parent, symbol): element i of level k
     is element parent of level k - 1 times the matrix of symbol, an index
     into gens.alphabet().  The identity's links are (-1, -1).  `Words`
     spells the words from the links.  Element dedup keeps the first
@@ -443,52 +459,34 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     )
     d = gens.dim
 
-    ident = np.eye(d, dtype=mats.dtype)
-    stack = ident[None, :, :]
-    levels = [(np.full((1, 2), -1), stack)]
-    last = np.array([-1])
-    total = 1
+    links = np.full((1, 2), -1, dtype=np.int32)
+    items = np.eye(d, dtype=mats.dtype)[None, :, :]
+    levels = []
+    total = 0
     if dedup:
         seen = _FirstKept(lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6),
                           _canonical_rows)
-        seen.keep(stack)
-
-    for length in range(1, max_len + 1):
-        # children in word order: by parent, then by symbol
-        child = last[:, None] != inv_idx
-        count = np.count_nonzero(child)
-        if count == 0:
-            return levels, max_len
-        if total + count > budget:
-            return levels, length - 1
-        links = np.argwhere(child)
-        products = _Products(links, stack, mats)
+    for length in range(max_len + 1):
         if dedup:
-            keep, stack = seen.keep(products)
-            if len(keep) == 0:
-                return levels, max_len
-            links = links[keep]
-        else:
-            stack = products[:]
+            decision = seen.decide(items)
+            if len(decision[0]) == 0:
+                break
+            links = links[decision[0]]
         total += len(links)
+        # the next level's children in word order: by parent, then by symbol
+        child = links[:, 1, None] != inv_idx
+        if length < max_len and total + np.count_nonzero(child) > budget:
+            raise BudgetExceededError(
+                f"enumeration budget exhausted at radius {length}",
+                completed_radius=length,
+            )
+        stack = seen.commit(items, decision) if dedup else items[:]
         levels.append((links, stack))
-        last = links[:, 1]
+        if length == max_len:
+            break
+        links = np.argwhere(child).astype(np.int32)
+        items = _Products(links, stack, mats)
     return levels, max_len
-
-
-def _complete_ball(gens, max_len, budget, dedup=True):
-    """The levels of element_ball up to max_len.
-
-    Raises BudgetExceededError, with the completed radius, when the budget
-    runs out first.
-    """
-    levels, completed = element_ball(gens, max_len, budget=budget, dedup=dedup)
-    if completed < max_len:
-        raise BudgetExceededError(
-            f"enumeration budget exhausted at radius {completed}",
-            completed_radius=completed,
-        )
-    return levels
 
 
 def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
@@ -505,7 +503,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     if core.point_class(basepoint) != "negative":
         raise DegenerateInputError("basepoint must be an interior point")
 
-    levels = _complete_ball(gens, max_len, budget)
+    levels, _ = element_ball(gens, max_len, budget)
     base = basepoint.lift
     d = len(base)
     norm = float(core.herm_inner(base, base).real)
@@ -627,7 +625,7 @@ def identity_word_probe(gens, max_len=8, tol=1e-6, budget=DEFAULT_BUDGET):
     over all reduced words of length <= max_len, without element dedup, and
     whether it stays above tol.
     """
-    levels = _complete_ball(gens, max_len, budget, dedup=False)
+    levels, _ = element_ball(gens, max_len, budget, dedup=False)
     gaps = [core.identity_gap(stack) for _, stack in levels[1:]]
     min_gap = np.fmin.reduce(np.concatenate(gaps + [[np.inf]]))  # skips NaN
     return bool(min_gap > tol), float(min_gap)
@@ -642,7 +640,7 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     """
     if depth < 1:
         raise ParameterError("depth must be >= 1")
-    levels = _complete_ball(gens, depth, budget)
+    levels, _ = element_ball(gens, depth, budget)
     if depth >= len(levels):
         raise DegenerateInputError("no reduced words at the requested depth")
     _, stack = levels[depth]

@@ -708,10 +708,10 @@ def test_slice_kernel_matches_arccosh_reference_bit_for_bit(
 
 
 # --- reference certification: the one-shot distance matrix it replaced ---
-# _certify takes the witnesses' distances to the orbit _EXIT_CHUNK rows at
-# a time; this takes them all in one matrix, as the census did before.
-# Each row reduces to its own minimum and runner-up, so the two must give
-# the same census bit for bit.
+# _certify takes the witnesses' distances to the orbit in chunks of whole
+# rows, about _EXIT_CELLS at a time; this takes them all in one matrix, as
+# the census did before.  Each row reduces to its own minimum and
+# runner-up, so the two must give the same census bit for bit.
 
 
 def ref_certify(spell, dist, nrays, margin, enum_radius):
@@ -737,14 +737,16 @@ def ref_certify(spell, dist, nrays, margin, enum_radius):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """(witness count, chunked census, one-shot census) of every _certify call."""
+    """(witness count, witnesses per chunk, chunked census, one-shot census)
+    of every _certify call."""
     calls = []
     chunked = dm._certify
 
     def both(spell, witness, orbit_lifts, norm, witness_norm, *rest):
         got = chunked(spell, witness, orbit_lifts, norm, witness_norm, *rest)
         dist = core._bergman_distances(witness, orbit_lifts, norm, witness_norm)
-        calls.append((len(witness), got, ref_certify(spell, dist, *rest)))
+        calls.append((len(witness), dm._EXIT_CELLS // len(orbit_lifts), got,
+                      ref_certify(spell, dist, *rest)))
         return got
 
     monkeypatch.setattr(dm, "_certify", both)
@@ -770,24 +772,26 @@ def test_chunked_certification_matches_one_shot(certified, tmp_path, preset,
             else ps.group_preset(preset))
     dm.dirichlet_side_census(gens, cli._ball_origin(gens.dim), radius,
                              rays=rays, seed=seed)
-    (witnesses, got, want), = certified
+    (witnesses, chunk, got, want), = certified
     _same_census_bits(got, want)
     if preset == "z2-lattice":
-        assert witnesses > 2 * dm._EXIT_CHUNK  # several chunks and a tail
+        assert witnesses > 2 * chunk  # several chunks and a tail
 
 
 def test_chunked_slice_certification_matches_one_shot(certified):
-    dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3, rays=2500)
+    dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3, rays=6000)
     assert len(certified) == 2  # at enum_radius and enum_radius + 2
-    for witnesses, got, want in certified:
-        assert witnesses > dm._EXIT_CHUNK
+    for witnesses, chunk, got, want in certified:
+        assert witnesses > 2 * chunk  # several chunks and a tail
         _same_census_bits(got, want)
 
 
 def test_census_peak_memory_is_bounded_by_one_chunk():
     # the dirichlet-z2-10 benchmark step: before the witness distances were
     # chunked, the 10,000 x 220 distance matrix and its temporaries made the
-    # peak 18 times one chunk's rays-by-orbit complex products
+    # peak 18 times 1,024 rays' complex products with the orbit, and chunks
+    # of 1,024 rays still left about 18 MB.  Chunks of _EXIT_CELLS ray-orbit
+    # pairs bound it whatever the orbit's size, at 8 MiB
     gens = ps.group_preset("z2-lattice")
     center = cli._ball_origin(gens.dim)
     tracemalloc.start()
@@ -797,8 +801,7 @@ def test_census_peak_memory_is_bounded_by_one_chunk():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    orbit = 2 * 10 * 11  # the z2 ball of radius 10 minus the identity
-    assert peak <= 8 * dm._EXIT_CHUNK * orbit * 16
+    assert peak <= 8 * dm._EXIT_CELLS * 16
 
 
 def test_census_depends_only_on_the_projective_center():

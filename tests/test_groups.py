@@ -531,9 +531,13 @@ class TestDedupMatchesSequentialReference:
 
     def test_budget_limited_fuchsian(self):
         gens = ps.group_preset("fuchsian")
-        levels, completed = gr.element_ball(gens, 28, budget=20_000)
         ref_levels, ref_completed = ref_element_ball(gens, 28, budget=20_000)
-        assert completed == ref_completed < 28
+        assert ref_completed < 28
+        with pytest.raises(BudgetExceededError) as err:
+            gr.element_ball(gens, 28, budget=20_000)
+        assert err.value.completed_radius == ref_completed
+        levels, completed = gr.element_ball(gens, ref_completed, budget=20_000)
+        assert completed == ref_completed
         assert level_words(gens, levels) == [w for w, _ in ref_levels]
         assert same_stack_bits(np.concatenate([m for _, m in levels]),
                                np.concatenate([m for _, m in ref_levels]))
@@ -548,7 +552,10 @@ class TestDedupMatchesSequentialReference:
     @pytest.mark.parametrize("budget, completed", [(17, 2), (16, 1), (53, 3)])
     def test_budget_boundary(self, budget, completed):
         # a free group on two letters has 1, 4, 12, 36 words of length 0..3
-        levels, done = gr.element_ball(schottky_pair(), 6, budget=budget)
+        with pytest.raises(BudgetExceededError) as err:
+            gr.element_ball(schottky_pair(), 6, budget=budget)
+        assert err.value.completed_radius == completed
+        levels, done = gr.element_ball(schottky_pair(), completed, budget=budget)
         assert done == completed
         assert total_words(levels) == [1, 5, 17, 53][completed]
 
@@ -632,14 +639,14 @@ def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
     # products computed on demand, in batches of any rows, so a product
     # must depend on its row alone too
     levels = []
-    real_keep = gr._FirstKept.keep
+    real_decide = gr._FirstKept.decide
 
-    def keep(self, items):
-        idx, kept = real_keep(self, items)
-        levels.append((self.key, items, idx))
-        return idx, kept
+    def decide(self, items):
+        decision = real_decide(self, items)
+        levels.append((self.key, items, decision[0]))
+        return decision
 
-    monkeypatch.setattr(gr._FirstKept, "keep", keep)
+    monkeypatch.setattr(gr._FirstKept, "decide", decide)
     monkeypatch.setattr(gr, "_CHUNK", 100)  # batches cut across every level
     gens = ps.group_preset(preset)
     if points:
@@ -673,27 +680,27 @@ def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
 
 
 def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():
-    # the budget-limited fuchsian profile: before keys were recomputed on
-    # demand, the stored keys and level-wide key temporaries made the
-    # peak 3.2 times the returned levels, and before candidates were
-    # computed on demand, a level's full candidate stack made it 2.23 times
+    # the budget-limited fuchsian profile, which runs out after length 21:
+    # before keys were recomputed on demand, the stored keys and level-wide
+    # key temporaries made the peak 3.2 times the levels up to 21, before
+    # candidates were computed on demand, a level's full candidate stack
+    # made it 2.23 times, and while the exhausted ball still built and
+    # returned length 21, 1.33 times
     gens = ps.group_preset("fuchsian")
+    levels, completed = gr.element_ball(gens, 21, budget=400_000)
+    assert completed == 21
+    returned = sum(links.nbytes + stack.nbytes for links, stack in levels)
+    del levels
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        levels, completed = gr.element_ball(gens, 28, budget=400_000)
+        with pytest.raises(BudgetExceededError) as err:
+            gr.element_ball(gens, 28, budget=400_000)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert completed == 21
-    returned = sum(links.nbytes + stack.nbytes for links, stack in levels)
-    assert peak <= 2.25 * returned
-    assert peak <= 1.5 * returned
-    # the group is real, so its stacks are float64: the peak stays under
-    # 1.3 times what links and complex128 stacks take (1.89 times when the
-    # stacks were complex128)
-    complex_stacks = sum(links.nbytes + len(links) * 9 * 16 for links, _ in levels)
-    assert peak <= 1.3 * complex_stacks
+    assert err.value.completed_radius == 21
+    assert peak <= 1.2 * returned
 
 
 def generator_file_group(tmp_path, iso):
@@ -755,7 +762,10 @@ def ref_pgl2z_levels(max_len):
 def test_fuchsian_ball_matches_exact_oracle_at_profile_budget():
     # the CLI's profile budget, which runs out at length 22
     gens = ps.group_preset("fuchsian")
-    levels, completed = gr.element_ball(gens, 28, budget=400_000)
+    with pytest.raises(BudgetExceededError) as err:
+        gr.element_ball(gens, 28, budget=400_000)
+    assert err.value.completed_radius == 21
+    levels, completed = gr.element_ball(gens, 21, budget=400_000)
     assert completed == 21
     want = ref_pgl2z_levels(21)
     assert [len(level) for level in want] == PGL2Z_LEVEL_COUNTS

@@ -23,17 +23,26 @@ sphere of C^n (Shoemake, Uniform random rotations, Graphics Gems III, 1992,
 for n = 2); a seed shifts the points modulo 1 (Cranley and Patterson, SIAM
 J. Numer. Anal. 13, 1976).
 
-The slice census walks straight lines in the coordinates of an invariant
-slice (see parabolic_projection), which are not geodesics.  It marches them
-in steps of STEP against min_g |<x, g c>|^2 < |<x, c>|^2 <gc, gc> / <c, c>,
-in which the norm of x cancels, and bisects each exit to BISECTION_TOL.
+The slice census follows straight lines t -> t u in the coordinates of an
+invariant slice (see parabolic_projection), which are not geodesics.  Their
+lifts x(t) = c + t z1 + t^2 z2 are quadratic in t, with z2 on the line of
+infinity.  As <g c, g c> = <c, c>, an image g c beats x(t) when
+
+    D(t) = |<x, g c>|^2 - |<x, c>|^2 < 0.
+
+Every slice generator fixes infinity with a unit multiplier (loxodromic
+ones are rejected), so |<z2, g c>| = |<z2, c>|, the t^4 terms cancel and D
+is a real cubic, with D(0) > 0 unless g fixes the center.  With s = 1/t,
+D(1/s) s^3 / D(0) = s^3 + k1 s^2 + k2 s + k3, and the exit is at t = 1/s for
+the largest root s > 0 over the orbit where the cubic changes sign: by
+Cardano's formula for one real root, the cosine formula for three.
 
 The census is a lower-bound certificate over the enumerated ball, never a
 completeness claim.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +57,6 @@ from .errors import (
 )
 
 DEFAULT_RAYS = 2000
-STEP = 0.05
-BISECTION_TOL = 1e-9
 SIDE_MARGIN = 1e-6
 _EXIT_CELLS = 1 << 16  # ray-orbit pairs per chunk, to bound temporaries
 
@@ -241,57 +248,44 @@ def _ball_exits(dirs, orbit_lifts, norm):
         return -np.log(q)
 
 
-def _first_exit_census(spell, base_lift, orbit_lifts, norm, path, dirs, t_max,
-                       margin, enum_radius):
-    """March, bisect and certify the first bisector exit of every slice ray.
+def _slice_exits(lift, orbit_lifts, z1, z2):
+    """Slice parameter of each ray x(t) = lift + t z1 + t^2 z2 at its first
+    exit: the module docstring's cubic over the orbit lifts (inf if no
+    root)."""
+    def re(x, y):  # Re(x conj(y)) at each image less at the center, the last
+        xy = x.real * y.real + x.imag * y.imag
+        return xy[..., :-1] - xy[..., -1:]
 
-    orbit_lifts, of form norm `norm`, are the images of base_lift under
-    the elements whose words spell(rows) gives.  path(dirs, t) gives the
-    lifts reached at parameter t (a scalar or one per ray) and their
-    distances to the center.  An unbeaten ray drops out past the horizon
-    or at parameter t_max(horizon).
-    """
-    horizon = _horizon(spell, base_lift, orbit_lifts, norm)
-    t_max = t_max(horizon)
-    j = np.ones(base_lift.shape[0])
+    j = np.ones(lift.shape[0])
     j[-1] = -1.0
-    rows = np.ascontiguousarray(np.conj(orbit_lifts * j))
-    own_row = np.conj(base_lift * j)
-    scale = norm / float(core.herm_inner(base_lift, base_lift).real)
-
-    def beaten(lifts):
-        # is some image nearer than the center?  (module docstring)
-        inner = (lifts @ rows.T).view(float)
-        inner *= inner
-        nearest = np.min(inner[:, 0::2] + inner[:, 1::2], axis=1)
-        own = lifts @ own_row
-        return nearest < (own.real ** 2 + own.imag ** 2) * scale
-
-    # lockstep march: find the first step at which each ray is beaten
-    nrays = dirs.shape[0]
-    lo = np.zeros(nrays)
-    hi = np.full(nrays, np.nan)
-    active = np.arange(nrays)
-    t = 0.0
-    while active.size and t < t_max:
-        t_next = min(t + STEP, t_max)
-        lifts, d_center = path(dirs[active], t_next)
-        hit = beaten(lifts)
-        hi[active[hit]] = t_next
-        lo[active[~hit]] = t_next
-        active = active[~hit & (d_center <= horizon)]
-        t = t_next
-
-    idx = np.nonzero(~np.isnan(hi))[0]
-    a, b, d_sub = lo[idx], hi[idx], dirs[idx]
-    while idx.size and np.max(b - a) > BISECTION_TOL:
-        mid = 0.5 * (a + b)
-        hit = beaten(path(d_sub, mid)[0])
-        b[hit] = mid[hit]
-        a[~hit] = mid[~hit]
-    witness, _ = path(d_sub, 0.5 * (a + b))
-    return _certify(spell, witness, orbit_lifts, norm, None, nrays, margin,
-                    enum_radius)
+    rows = np.conj(np.vstack([orbit_lifts, lift]) * j).T
+    a = lift @ rows
+    e0 = re(a, a)  # D(0) > 0, as _horizon rejects a fixed center
+    s = np.empty(len(z1))
+    chunk = max(1, _EXIT_CELLS // len(orbit_lifts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(z1), chunk):
+            b, c = z1[lo : lo + chunk] @ rows, z2[lo : lo + chunk] @ rows
+            # s^3 + k1 s^2 + k2 s + k3 = D(1/s) s^3 / D(0)
+            k1 = 2.0 * re(a, b) / e0
+            k2 = (re(b, b) + 2.0 * re(a, c)) / e0
+            k3 = 2.0 * re(b, c) / e0
+            # the depressed cubic y^3 + p y + q in y = s + k1 / 3
+            p = k2 - k1 * k1 / 3.0
+            q = k1 * (k1 * k1 / 13.5 - k2 / 3.0) + k3
+            h = (q / 2.0) ** 2 + (p / 3.0) ** 3
+            # h >= 0: the real root, by Cardano's formula without cancellation;
+            # at h = 0 the double root is a tangency and the simple one the
+            # crossing, and a triple root has w = y = 0
+            w = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(h), q))
+            y = w - np.divide(p, 3.0 * w, out=np.zeros_like(w), where=w != 0.0)
+            # h < 0, so p < 0: the largest of three, by the cosine formula
+            three = h < 0.0
+            r = np.sqrt(p[three] / -3.0)
+            cos3 = np.clip(q[three] / (-2.0 * r ** 3), -1.0, 1.0)
+            y[three] = 2.0 * r * np.cos(np.arccos(cos3) / 3.0)
+            s[lo : lo + chunk] = np.max(y - k1 / 3.0, axis=1, initial=0.0)
+        return 1.0 / s
 
 
 def dirichlet_side_census(
@@ -418,19 +412,14 @@ def pullback_domain_sides(
     ambient space.  The census is run at enum_radius and enum_radius + 2
     and the stable flag records whether the side sets agree.
     """
+    if rays < 100:
+        raise ParameterError("need at least 100 rays")
     if not gens.labels:
         raise DegenerateInputError("empty generator set")
     _check_invariance(gens, model, u0)
     first = _slice_census(gens, model, u0, enum_radius, rays, margin, budget)
     second = _slice_census(gens, model, u0, enum_radius + 2, rays, margin, budget)
-    return SideCensus(
-        sides=first.sides,
-        margins=first.margins,
-        rays_used=first.rays_used,
-        enumeration_radius=enum_radius,
-        unbounded_ray_fraction=first.unbounded_ray_fraction,
-        stable=first.sides == second.sides,
-    )
+    return replace(first, stable=first.sides == second.sides)
 
 
 def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
@@ -439,6 +428,8 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     n = gens.dim - 1
     ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift
     ynorm = float(core.herm_inner(ylift, ylift).real)
+    orbit_lifts = (mats.reshape(-1, n + 1) @ ylift).reshape(-1, n + 1)
+    horizon = _horizon(spell, ylift, orbit_lifts, ynorm)
 
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -446,15 +437,15 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         angles = 2 * np.pi * (np.arange(rays) + 0.5) / rays
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
 
-    def path(sub_dirs, t):
-        xi, v = _slice_coords(model, np.asarray(t)[..., None] * sub_dirs, n)
-        lifts = hb._horo_lifts(xi, v, u0)
-        return lifts, core._bergman_distances(lifts, ylift[None, :], ynorm)[:, 0]
+    def lifts(coords):
+        return hb._horo_lifts(*_slice_coords(model, coords, n), u0)
 
-    # slice paths are not unit-speed geodesics; march the slice coordinate
-    # until the ambient distance to the center clears the horizon
-    return _first_exit_census(
-        spell, ylift, (mats.reshape(-1, n + 1) @ ylift).reshape(-1, n + 1),
-        ynorm, path, dirs,
-        lambda horizon: horizon * 3.0 + 10.0, margin, enum_radius,
-    )
+    # x(t) = ylift + t z1 + t^2 z2 from the lifts at t = 1 and t = -1
+    ahead, behind = lifts(dirs), lifts(-dirs)
+    t = _slice_exits(ylift, orbit_lifts, (ahead - behind) / 2.0,
+                     (ahead + behind) / 2.0 - ylift)
+    crossed = np.isfinite(t)
+    witness = lifts(t[crossed, None] * dirs[crossed])
+    near = core._bergman_distances(witness, ylift[None, :], ynorm)[:, 0] <= horizon
+    return _certify(spell, witness[near], orbit_lifts, ynorm, None, len(dirs),
+                    margin, enum_radius)

@@ -41,12 +41,16 @@ def without_timestamp(text):
     return json.dumps(data, sort_keys=True)
 
 
-def fresh_process_output(code, *args):
+def fresh_process_output(code, *args, blas_threads=None):
     """stdout of `code`, given args, run by a new interpreter that imports
-    this source tree."""
+    this source tree, with OPENBLAS_NUM_THREADS set to blas_threads or
+    unset."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
@@ -504,36 +508,29 @@ def test_json_determinism_same_seed():
 
 
 def test_dirichlet_output_independent_of_blas_threads():
-    # the ball census multiplies the orbit by chunks of rays sized by the
-    # orbit, several at radius 10, and orbit and profile take their
+    # the ball and slice censuses multiply the orbit by chunks of rays sized
+    # by the orbit, several at radius 10, and orbit and profile take their
     # distances from the same Bergman kernel; enumeration multiplies each
     # level by a symbol in one product of thousands of rows, which limitset
     # and bend then apply to their seeds.  OpenBLAS may split such products
     # across threads
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    for args in (
+    codes = [("import sys, chgeom.cli as cli; "
+              f"sys.exit(cli.main({['--command'] + args!r}))") for args in (
         ["dirichlet", "--preset", "z2-lattice", "--radius", "6", "--rays", "2000"],
         ["dirichlet", "--preset", "z2-lattice", "--radius", "10", "--rays", "10000"],
         ["orbit", "--preset", "schottky", "--depth", "7"],
         ["profile", "--preset", "schottky", "--depth", "10"],
         ["limitset", "--preset", "fuchsian", "--depth", "9"],
         ["bend", "--preset", "hnn-bend", "--format", "csv"],
-    ):
-        code = ("import sys, chgeom.cli as cli; "
-                f"sys.exit(cli.main({['--command'] + args!r}))")
-        outputs = []
-        for threads in ("1", None):
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src, env.get("PYTHONPATH")]))
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  check=True, capture_output=True)
-            outputs.append(b"".join(ln for ln in proc.stdout.splitlines(True)
-                                    if b'"timestamp"' not in ln))
-        assert outputs[0] == outputs[1], args[0]
+    )]
+    codes.append("import chgeom.dirichlet as dm, chgeom.presets as ps; "
+                 "print(dm.pullback_domain_sides(ps.group_preset('z2-lattice'), "
+                 "'full-horizontal', 1.0, 3, rays=720))")
+    for code in codes:
+        outputs = [[ln for ln in fresh_process_output(code, blas_threads=threads)
+                    .splitlines() if '"timestamp"' not in ln]
+                   for threads in ("1", None)]
+        assert outputs[0] == outputs[1], code
 
 
 def test_orbit_determinism_same_seed():

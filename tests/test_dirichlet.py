@@ -17,6 +17,7 @@ from chgeom.errors import (
     DegenerateCenterError,
     DegenerateInputError,
     InvarianceError,
+    ParameterError,
 )
 
 
@@ -153,14 +154,28 @@ class TestPullbackDomain:
         with pytest.raises(InvarianceError):
             dm.pullback_domain_sides(cyclic_horizontal(), "vertical-axis", 1.0, 2)
 
+    @pytest.mark.parametrize("rays", [0, -3, 99])
+    def test_too_few_rays_rejected_before_enumerating(self, rays, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
+        with pytest.raises(ParameterError, match="^need at least 100 rays$"):
+            dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3,
+                                     rays=rays)
+
 
 # --- reference censuses: the two copies the first-exit kernel replaced ---
 # Kept verbatim with the scalar lifts they called: the tanh chord lift, the
-# per-point slice lift and the per-matrix orbit lifts.  The slice census
-# must match bit for bit.  The ball census solves for its exits in closed
-# form, while these march and bisect them to BISECTION_TOL; each margin is
-# 2-Lipschitz along a unit-speed ray, so sides, unbounded fractions and the
-# census bookkeeping must match and margins agree to 2 BISECTION_TOL.
+# per-point slice lift and the per-matrix orbit lifts, and with the march in
+# steps of STEP and the bisection to BISECTION_TOL that the package no
+# longer has.  Both censuses solve for their exits in closed form.  Each
+# margin is 2-Lipschitz along a unit-speed ray, so sides, unbounded
+# fractions and the census bookkeeping must match and margins agree to
+# 2 BISECTION_TOL; the slice rays, not unit-speed, stay within it too.
+
+STEP = 0.05
+BISECTION_TOL = 1e-9
 
 
 def ref_horo_to_projective(p):
@@ -261,7 +276,7 @@ def ref_dirichlet_side_census(
     active = np.arange(rays)
     s = 0.0
     while active.size and s < horizon:
-        s_next = min(s + dm.STEP, horizon)
+        s_next = min(s + STEP, horizon)
         pts = ref_chord_lifts(dirs[active], s_next)
         dmin = np.min(core._bergman_distances(pts, orbit_lifts, cnorm), axis=1)
         beaten = dmin < s_next
@@ -279,7 +294,7 @@ def ref_dirichlet_side_census(
         a = lo[idx].copy()
         b = hi[idx].copy()
         d_sub = dirs[idx]
-        while np.max(b - a) > dm.BISECTION_TOL:
+        while np.max(b - a) > BISECTION_TOL:
             mid = 0.5 * (a + b)
             pts = ref_chord_lifts(d_sub, mid)
             dmin = np.min(core._bergman_distances(pts, orbit_lifts, cnorm), axis=1)
@@ -369,7 +384,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     # slice paths are not unit-speed geodesics; march the slice coordinate
     # until the ambient distance to the center clears the horizon
     while active.size and t < horizon * 3.0 + 10.0:
-        t_next = t + dm.STEP
+        t_next = t + STEP
         pts = slice_lifts(dirs[active], t_next)
         dmin = np.min(core._bergman_distances(pts, orbit_lifts, ynorm), axis=1)
         d0 = center_dist(pts)
@@ -387,7 +402,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         a = lo[idx].copy()
         b = hi[idx].copy()
         d_sub = dirs[idx]
-        while np.max(b - a) > dm.BISECTION_TOL:
+        while np.max(b - a) > BISECTION_TOL:
             mid = 0.5 * (a + b)
             pts = slice_lifts(d_sub, mid)
             dmin = np.min(core._bergman_distances(pts, orbit_lifts, ynorm), axis=1)
@@ -431,7 +446,7 @@ def _same_census_up_to_bisection(got, want):
     assert got.rays_used == want.rays_used
     assert got.enumeration_radius == want.enumeration_radius
     for w in want.sides:
-        assert abs(got.margins[w] - want.margins[w]) <= 2 * dm.BISECTION_TOL
+        assert abs(got.margins[w] - want.margins[w]) <= 2 * BISECTION_TOL
 
 
 @pytest.mark.parametrize("preset,where,radius", BALL_CASES)
@@ -450,17 +465,87 @@ SLICE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("make_gens,model,rays", SLICE_CASES)
-def test_slice_census_matches_reference_bit_for_bit(make_gens, model, rays):
+@pytest.mark.parametrize("u0,radius", [(1.0, 3), (0.5, 5), (2.0, 2)])
+@pytest.mark.parametrize("make_gens,model,rays", SLICE_CASES,
+                         ids=[model for _, model, _ in SLICE_CASES])
+def test_slice_census_matches_reference(make_gens, model, rays, u0, radius):
+    args = (make_gens(), model, u0, radius, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
+    _same_census_up_to_bisection(dm._slice_census(*args), ref_slice_census(*args))
+
+
+def slice_rays(gens, model, u0, radius, dirs):
+    """The center lift, orbit lifts, z1 and z2 that _slice_census passes to
+    _slice_exits for rays along dirs, and the lifts at slice coordinates."""
+    n = gens.dim - 1
+    _, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    c = hb.horo_to_projective(dm._slice_point(model, (0.0,) * dirs.shape[1], u0, n)).lift
+
+    def lifts(coords):
+        return hb._horo_lifts(*dm._slice_coords(model, coords, n), u0)
+
+    ahead, behind = lifts(dirs), lifts(-dirs)
+    return c, mats @ c, (ahead - behind) / 2.0, (ahead + behind) / 2.0 - c, lifts
+
+
+@pytest.mark.parametrize("u0", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("make_gens,model", [(cyclic_horizontal, "horizontal-line"),
+                                             (cyclic_vertical, "vertical-axis")])
+def test_slice_exits_halfway_to_the_nearest_images(make_gens, model, u0):
+    # c and a^{+-1} c lie at one height, so their bisectors cross the slice
+    # halfway; at R=1 the runner-up at the witness is the other image
     gens = make_gens()
-    args = (gens, model, 1.0, 3, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
-    got = dm._slice_census(*args)
-    want = ref_slice_census(*args)
-    assert got == want
-    assert [repr(got.margins[w]) for w in got.sides] == [
-        repr(want.margins[w]) for w in want.sides
-    ]
-    assert repr(got.unbounded_ray_fraction) == repr(want.unbounded_ray_fraction)
+    for radius in (1, 3):
+        c, orbit, z1, z2, _ = slice_rays(gens, model, u0, radius,
+                                         np.array([[1.0], [-1.0]]))
+        assert np.max(np.abs(dm._slice_exits(c, orbit, z1, z2) - 0.5)) <= 1e-13
+
+    def point(t):
+        return hb.horo_to_projective(dm._slice_point(model, (t,), u0))
+
+    census = dm.pullback_domain_sides(gens, model, u0, 1)
+    want = (core.bergman_distance(point(0.5), point(-1.0))
+            - core.bergman_distance(point(0.5), point(1.0)))
+    assert census.sides == ("A", "a")
+    for w in census.sides:
+        assert abs(census.margins[w] - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.25, max_value=4.0),
+       st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), min_size=1,
+                max_size=8))
+def test_slice_exits_are_first_exits(u0, angles):
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    c, orbit, z1, z2, lifts = slice_rays(z2_lattice(), "full-horizontal", u0, 3,
+                                         dirs)
+    norm = float(core.herm_inner(c, c).real)
+    for u, exit_t in zip(dirs, dm._slice_exits(c, orbit, z1, z2)):
+        # full distances over the whole orbit: no image is nearer than the
+        # center on a grid short of the exit, and one is just past it
+        end = min(exit_t, 20.0)
+        delta = 1e-7 * (1.0 + end)
+        ts = np.append(np.linspace(0.0, end - delta, 64), end + delta)
+        x = lifts(ts[:, None] * u)
+        gap = (np.min(core._bergman_distances(x, orbit, norm), axis=1)
+               - core._bergman_distances(x, c[None, :], norm)[:, 0])
+        assert np.all(gap[:-1] > -1e-9)
+        if exit_t <= 20.0:
+            assert gap[-1] < 1e-9
+
+
+def test_slice_census_peak_memory_is_bounded_by_chunks():
+    # at R=8 and 6,000 rays: the march's peak was 20.7 MiB, and one
+    # unchunked cubic over every ray-orbit pair at once 95.5 MiB
+    args = (z2_lattice(), "full-horizontal", 1.0, 8, 6000, dm.SIDE_MARGIN,
+            gr.DEFAULT_BUDGET)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm._slice_census(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("model", ["vertical-axis", "horizontal-line", "full-horizontal"])
@@ -549,12 +634,10 @@ def test_census_past_the_tanh_horizon_is_clean():
     assert 0.0 < census.unbounded_ray_fraction < 1.0
 
 
-# --- reference first-exit kernel: the arccosh beaten test it replaced ---
+# --- reference first-exit kernel: the arccosh march it replaced ---
 # Kept verbatim: every (ray, orbit point) pair goes through a full Bergman
-# distance and the witness loop sorts each row.  The slice march's squared
-# inner products over the orbit, and the vectorised witness certification,
-# must give the same census bit for bit.  Run on the ball census's rays, it
-# is also the march that the closed-form exits must agree with.
+# distance and the witness loop sorts each row.  Run on the ball census's
+# rays, it is the march that the closed-form exits must agree with.
 
 
 def ref_first_exit_census(
@@ -582,7 +665,7 @@ def ref_first_exit_census(
     active = np.arange(nrays)
     t = 0.0
     while active.size and t < t_max:
-        t_next = min(t + dm.STEP, t_max)
+        t_next = min(t + STEP, t_max)
         beaten, d_center = beaten_at(dirs[active], t_next)
         hi[active[beaten]] = t_next
         lo[active[~beaten]] = t_next
@@ -596,7 +679,7 @@ def ref_first_exit_census(
         a = lo[idx].copy()
         b = hi[idx].copy()
         d_sub = dirs[idx]
-        while np.max(b - a) > dm.BISECTION_TOL:
+        while np.max(b - a) > BISECTION_TOL:
             mid = 0.5 * (a + b)
             beaten, _ = beaten_at(d_sub, mid)
             b[beaten] = mid[beaten]
@@ -690,21 +773,6 @@ def test_schottky_census_at_r5_stays_unbounded():
                                       cli._ball_origin(3), 5)
     assert census.unbounded_ray_fraction == 1.0
     assert census.sides == ()
-
-
-@pytest.mark.parametrize("make_gens,model,rays", SLICE_CASES)
-def test_slice_kernel_matches_arccosh_reference_bit_for_bit(
-    make_gens, model, rays, monkeypatch
-):
-    args = (make_gens(), model, 1.0, 3, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
-    got = dm._slice_census(*args)
-
-    def ref_census(spell, base_lift, orbit_lifts, *rest):
-        words = spell(np.arange(len(orbit_lifts)))
-        return ref_first_exit_census(words, base_lift, orbit_lifts, *rest)
-
-    monkeypatch.setattr(dm, "_first_exit_census", ref_census)
-    _same_census_bits(got, dm._slice_census(*args))
 
 
 # --- reference certification: the one-shot distance matrix it replaced ---

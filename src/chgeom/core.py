@@ -256,13 +256,19 @@ def identity_gap(matrix):
     """Relative sup-norm distance of a matrix from the scalar matrices.
 
     A stack of matrices (leading batch axes) gives an array of gaps, one per
-    matrix; a single matrix gives a float.
+    matrix; a single matrix gives a float.  The gap is max|m - lam I| /
+    max|m| with lam = tr(m) / d, bit for bit; off the diagonal |m - lam I|
+    is |m|, so one modulus array serves both, its diagonal overwritten.  A
+    non-finite lam gives NaN, as lam * 0 does in the formula.
     """
     m = np.asarray(matrix, dtype=complex)
     d = m.shape[-1]
     lam = np.trace(m, axis1=-2, axis2=-1) / d
-    gap = (np.max(np.abs(m - lam[..., None, None] * np.eye(d)), axis=(-2, -1))
-           / np.max(np.abs(m), axis=(-2, -1)))
+    dev = np.abs(m)
+    scale = np.max(dev, axis=(-2, -1))
+    diag = np.arange(d)
+    dev[..., diag, diag] = np.abs(m[..., diag, diag] - lam[..., None])
+    gap = np.where(np.isfinite(lam), np.max(dev, axis=(-2, -1)) / scale, np.nan)
     return float(gap) if m.ndim == 2 else gap
 
 

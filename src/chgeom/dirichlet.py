@@ -410,7 +410,10 @@ def pullback_domain_sides(
 
     Rays stay inside the slice; distances are Bergman distances in the
     ambient space.  The census is run at enum_radius and enum_radius + 2
-    and the stable flag records whether the side sets agree.
+    and the stable flag records whether the side sets agree.  The 1-D
+    models, vertical-axis and horizontal-line, have only the two rays +1
+    and -1: they ignore rays and report rays_used == 2, and the rule
+    rays >= 100 holds for every model alike.
     """
     if rays < 100:
         raise ParameterError("need at least 100 rays")

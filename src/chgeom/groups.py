@@ -12,9 +12,11 @@ An orbit is one columnar `Orbit` (word lengths, a lift stack, distances
 to the basepoint, and the words on demand) in that order; nothing is
 built per point.
 
-The budget caps the elements of a ball: as soon as the kept links of a
-level show that the next level cannot fit, `element_ball` raises, and it
-has not yet computed that level's matrices, which the error discards.
+The budget caps the elements of a ball: as soon as a level shows that
+the next level cannot fit, `element_ball` raises, and it has not yet
+computed that level's matrices, which the error discards.  A level's new
+key hashes often show it before any repeat is confirmed; its kept links
+always do.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
 the first word for each element or orbit point.  Items are keyed by their
@@ -28,11 +30,13 @@ and searches the index.  One pass then confirms each repeat against its
 presumed representative on the full keys, recomputed from the two items,
 which is exact because a key depends on its item alone; keys that share a
 hash are told apart by their bytes, so a hash collision never merges
-items.  An item with a new key is kept; one with a seen key is dropped when
-it matches a kept item with that key (matrix gap <= 1e-6, or lift gap <=
-PROJ_TOL for points).  Items with different keys are never compared.  The
-kept items are computed last.  All of this is float64, so far-out orbit
-points whose lifts agree to rounding merge though distinct.
+items.  An item with a new key is kept.  An element with a seen key is
+dropped: equal keys bound the matrix gap by about 6e-9, within the 1e-6
+that elements are told apart by.  A point with a seen key is dropped when
+it matches a kept point with that key (lift gap <= PROJ_TOL, finer than
+its key).  Items with different keys are never compared.  The kept items
+are computed last.  All of this is float64, so far-out orbit points whose
+lifts agree to rounding merge though distinct.
 """
 
 from dataclasses import dataclass
@@ -196,15 +200,18 @@ def _canonical_rows(items, digits=9):
     Each item, a vector or a flattened matrix, is divided by its pivot
     entry (first within a whisker of its maximum), then rounded; equal
     projective objects then produce identical rows up to rounding-boundary
-    luck.  A row depends on its item alone, bit for bit.
+    luck.  A row depends on its item alone, bit for bit.  Two matrices with
+    equal rows differ by a projective matrix gap of at most about 6e-9:
+    divided by their pivots, their largest moduli are 1 to within the 1e-6
+    whisker, and their entries agree to 1e-9 in every real part.
     """
     flat = items.reshape(len(items), -1)
     mag = np.abs(flat)
-    mx = np.max(mag, axis=1)
-    pivot = np.argmax(mag >= (1.0 - 1e-6) * mx[:, None], axis=1)
-    pv = flat[np.arange(flat.shape[0]), pivot]
-    canon = flat / pv[:, None]
-    return np.round(canon.view(float), digits)
+    whisker = np.max(mag, axis=1)
+    whisker *= 1.0 - 1e-6
+    pivot = np.argmax(mag >= whisker[:, None], axis=1)
+    canon = (flat / flat[np.arange(len(flat)), pivot][:, None]).view(float)
+    return np.round(canon, digits, out=canon)
 
 
 _MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
@@ -244,30 +251,35 @@ class _FirstKept:
     on its item alone, bit for bit, in any batch: keys are not stored but
     computed again, a chunk at a time, wherever they are compared.  Keys
     are compared as bytes, read as uint64 words, so -0.0 and +0.0 differ
-    and a NaN equals only its own bit pattern.  A key's first kept item is
-    its representative.  The index is the sorted `_key_hash` of every key
-    seen so far, each with its representative's row in the kept stacks,
-    which are stored per level and never copied.
+    and a NaN equals only its own bit pattern.  same, when given, is a
+    finer test that items with equal keys must also pass to merge; without
+    it, equal keys decide.  A key's first kept item is its representative.
+    The index is the sorted `_key_hash` of every key seen so far, each with
+    its representative's row in the kept stacks, which are stored per level
+    and never copied.
 
     A level's items are an array or `_Products`, indexed by slices and
     index arrays; only their hashes are held.  One sort of the hashes
     groups the level, gives the sorted queries of one search into the
     index, and orders the new keys for the index merge.  Each item then
     has a presumed representative: the first index entry with its hash,
-    else the first item of its group.  One chunked pass confirms every
-    repeat on the two full keys and tests it against that representative
-    with `same`.  A key that differs marks a collision, two keys with one
-    hash, and its group takes an exact path: regrouped by bytes with every
-    index entry of its hash (np.unique), then tested again.  So a collision
-    costs time but never merges items or fails.  Items whose key is new
-    are kept; items that differ from their representative are checked, in
-    order, against the key's other kept items.  `decide` leaves the index
-    and the stacks as they are, and `commit` enters its decision and
-    computes the kept items, last.
+    else the first item of its group.  The hash groups that miss the index
+    are a lower bound on the level's new keys, so a caller's limit on them
+    is checked before any representative is built.  One chunked pass
+    confirms every repeat on the two full keys and tests it against that
+    representative with `same`.  A key that differs marks a collision, two
+    keys with one hash, and its group takes an exact path: regrouped by
+    bytes with every index entry of its hash (np.unique), then tested
+    again.  So a collision costs time but never merges items or fails.
+    Items whose key is new are kept; items that differ from their
+    representative under `same` are checked, in order, against the key's
+    other kept items.  `decide` leaves the index and the stacks as they
+    are, and `commit` enters its decision and computes the kept items,
+    last.
     """
 
     def __init__(self, same, key):
-        self.same = same  # batched: (stack, stack) -> bool array
+        self.same = same  # batched: (stack, stack) -> bool array, or None
         self.key = key  # batched: stack -> key rows, each of its item alone
         self.hashes = np.empty(0, dtype=np.uint64)  # sorted
         self.reps = np.empty(0, dtype=np.int32)  # kept row of each hash's key
@@ -290,10 +302,11 @@ class _FirstKept:
 
     def _confirm(self, items, at, rep):
         """For each of items[at], whether its key equals its representative's,
-        and whether `same` holds for the two.  rep[i] >= 0 is a kept row, and
-        rep[i] < 0 stands for items[~rep[i]]."""
+        and whether the two are the same item: under `same`, else by their
+        keys.  rep[i] >= 0 is a kept row, and rep[i] < 0 stands for
+        items[~rep[i]]."""
         equal = np.empty(len(at), dtype=bool)
-        same = np.empty(len(at), dtype=bool)
+        same = equal if self.same is None else np.empty(len(at), dtype=bool)
         for lo in range(0, len(at), _CHUNK):
             c = slice(lo, lo + _CHUNK)
             x, r = items[at[c]], rep[at[c]]
@@ -303,7 +316,8 @@ class _FirstKept:
                 y[earlier] = self._rows(r[earlier])
             y[~earlier] = items[~r[~earlier]]
             equal[c] = np.all(self._words(x) == self._words(y), axis=1)
-            same[c] = self.same(x, y)
+            if self.same is not None:
+                same[c] = self.same(x, y)
         return equal, same
 
     def _insert(self, hashes, rows):
@@ -321,22 +335,29 @@ class _FirstKept:
         self.hashes = merged(self.hashes, hashes)
         self.reps = merged(self.reps, rows)
 
-    def _presumed(self, hashes, order):
+    def _presumed(self, hashes, order, most_new):
         """Each item's presumed representative: the kept row of the first
         index entry with its hash, else ~(the level's first item with its
-        hash); order sorts hashes."""
+        hash); order sorts hashes.  None if more than most_new hashes miss
+        the index."""
         ordered = hashes[order]
         head = np.ones(len(hashes), dtype=bool)
         head[1:] = ordered[1:] != ordered[:-1]
         group_hashes = ordered[head]
         del ordered
-        rep_of = ~np.minimum.reduceat(order, np.flatnonzero(head).astype(np.int32))
+        hit = np.zeros(len(group_hashes), dtype=bool)
         if len(self.hashes):
             lo = np.searchsorted(self.hashes, group_hashes)
             np.minimum(lo, len(self.hashes) - 1, out=lo)  # lo == len is no hit
             hit = self.hashes[lo] == group_hashes
-            rep_of[hit] = self.reps[lo[hit]]
+            found = self.reps[lo[hit]]
+            del lo
         del group_hashes
+        if len(hit) - np.count_nonzero(hit) > most_new:
+            return None
+        rep_of = ~np.minimum.reduceat(order, np.flatnonzero(head).astype(np.int32))
+        if len(self.hashes):
+            rep_of[hit] = found
         rep = np.empty(len(hashes), dtype=np.int32)
         rep[order] = rep_of[np.cumsum(head, dtype=np.int32) - 1]
         return rep
@@ -365,15 +386,19 @@ class _FirstKept:
             differs[again] = ~self._confirm(items, again, rep)[1]
         return rep == own, differs
 
-    def decide(self, items):
+    def decide(self, items, most_new=np.inf):
         """One level's decision: the ascending indices of the items to keep,
         and the sorted hashes of its new keys with their representatives'
-        rows in the kept stacks."""
+        rows in the kept stacks.  None, before any repeat is confirmed, if
+        the level's hashes alone show more than most_new new keys."""
         hashes = np.empty(len(items), dtype=np.uint64)
         for lo in range(0, len(items), _CHUNK):
             hashes[lo:lo + _CHUNK] = _key_hash(self._words(items[lo:lo + _CHUNK]))
         order = np.argsort(hashes).astype(np.int32)
-        new, differs = self._classify(items, hashes, self._presumed(hashes, order))
+        rep = self._presumed(hashes, order, most_new)
+        if rep is None:
+            return None
+        new, differs = self._classify(items, hashes, rep)
         kept = new.copy()
         for i in np.flatnonzero(differs):
             item = items[i:i + 1]
@@ -437,14 +462,17 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
 
     Returns (levels, completed) where levels[k] = (links, matrix stack) for
     word length k, ordered lexicographically, and completed == max_len.
-    Raises BudgetExceededError with completed_radius L as soon as the kept
-    links of level L show that level L + 1 does not fit the budget: before
-    level L's stack is computed or its keys enter the index.  Row i of the
+    Raises BudgetExceededError with completed_radius L at the first L < max_len
+    whose elements up to L and children at L + 1 exceed the budget: before
+    level L's stack is computed or its keys enter the index, and before any
+    repeat of level L is confirmed when its new key hashes, each an element
+    with len(alphabet) - 1 children, already show it.  Row i of the
     (m, 2) int32 array links is (parent, symbol): element i of level k
     is element parent of level k - 1 times the matrix of symbol, an index
     into gens.alphabet().  The identity's links are (-1, -1).  `Words`
     spells the words from the links.  Element dedup keeps the first
-    (shortest, then lexicographically first) word for each group element.
+    (shortest, then lexicographically first) word for each group element,
+    and merges two elements when their keys are equal.
     Stacks are float64 when every generator matrix is real, else complex128.
     A real stack's keys are its complex keys' real parts up to the last bit
     before rounding, so decisions differ only at a rounding boundary, or
@@ -464,11 +492,17 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     levels = []
     total = 0
     if dedup:
-        seen = _FirstKept(lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6),
-                          _canonical_rows)
+        seen = _FirstKept(None, _canonical_rows)
     for length in range(max_len + 1):
+        over = BudgetExceededError(f"enumeration budget exhausted at radius {length}",
+                                   completed_radius=length)
         if dedup:
-            decision = seen.decide(items)
+            # a kept element and its children count len(alpha) or more
+            # against the budget, so more new keys than this cannot fit
+            most = (budget - total) // len(alpha) if length < max_len else np.inf
+            decision = seen.decide(items, most)
+            if decision is None:
+                raise over
             if len(decision[0]) == 0:
                 break
             links = links[decision[0]]
@@ -476,10 +510,7 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
         # the next level's children in word order: by parent, then by symbol
         child = links[:, 1, None] != inv_idx
         if length < max_len and total + np.count_nonzero(child) > budget:
-            raise BudgetExceededError(
-                f"enumeration budget exhausted at radius {length}",
-                completed_radius=length,
-            )
+            raise over
         stack = seen.commit(items, decision) if dedup else items[:]
         levels.append((links, stack))
         if length == max_len:

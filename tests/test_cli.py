@@ -41,18 +41,25 @@ def without_timestamp(text):
     return json.dumps(data, sort_keys=True)
 
 
-def fresh_process_output(code, *args, blas_threads=None):
-    """stdout of `code`, given args, run by a new interpreter that imports
-    this source tree, with OPENBLAS_NUM_THREADS set to blas_threads or
-    unset."""
+def fresh_process(code, *args, blas_threads=None):
+    """The completed run of `code`, given args, by a new interpreter that
+    imports this source tree, with OPENBLAS_NUM_THREADS set to blas_threads
+    or unset."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def fresh_process_output(code, *args, blas_threads=None):
+    """stdout of a fresh_process run, which must exit 0."""
+    run = fresh_process(code, *args, blas_threads=blas_threads)
+    run.check_returncode()
+    return run.stdout.strip()
 
 
 def test_import_leaves_scipy_stats_and_special_unloaded():
@@ -513,7 +520,8 @@ def test_dirichlet_output_independent_of_blas_threads():
     # distances from the same Bergman kernel; enumeration multiplies each
     # level by a symbol in one product of thousands of rows, which limitset
     # and bend then apply to their seeds.  OpenBLAS may split such products
-    # across threads
+    # across threads.  The fuchsian profile runs out of budget, exit 5, and
+    # its error on stderr must not depend on them either
     codes = [("import sys, chgeom.cli as cli; "
               f"sys.exit(cli.main({['--command'] + args!r}))") for args in (
         ["dirichlet", "--preset", "z2-lattice", "--radius", "6", "--rays", "2000"],
@@ -522,15 +530,18 @@ def test_dirichlet_output_independent_of_blas_threads():
         ["profile", "--preset", "schottky", "--depth", "10"],
         ["limitset", "--preset", "fuchsian", "--depth", "9"],
         ["bend", "--preset", "hnn-bend", "--format", "csv"],
+        ["profile", "--preset", "fuchsian", "--depth", "28"],
     )]
     codes.append("import chgeom.dirichlet as dm, chgeom.presets as ps; "
                  "print(dm.pullback_domain_sides(ps.group_preset('z2-lattice'), "
                  "'full-horizontal', 1.0, 3, rays=720))")
     for code in codes:
-        outputs = [[ln for ln in fresh_process_output(code, blas_threads=threads)
-                    .splitlines() if '"timestamp"' not in ln]
-                   for threads in ("1", None)]
+        runs = [fresh_process(code, blas_threads=threads) for threads in ("1", None)]
+        outputs = [(run.returncode, run.stderr,
+                    [ln for ln in run.stdout.splitlines() if '"timestamp"' not in ln])
+                   for run in runs]
         assert outputs[0] == outputs[1], code
+        assert outputs[0][0] == (5 if "'--depth', '28'" in code else 0), code
 
 
 def test_orbit_determinism_same_seed():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chgeom import bending as bd
 from chgeom import core
+from chgeom import groups as gr
 from chgeom import heisenberg as hb
+from chgeom import presets as ps
 from chgeom.errors import (
     BorderlineClassError,
     DegenerateInputError,
@@ -276,6 +279,16 @@ def test_infinity_point():
     assert core.point_class(inf) == "null"
 
 
+def ref_identity_gap(matrix):
+    """identity_gap as it was before it worked in place."""
+    m = np.asarray(matrix, dtype=complex)
+    d = m.shape[-1]
+    lam = np.trace(m, axis1=-2, axis2=-1) / d
+    gap = (np.max(np.abs(m - lam[..., None, None] * np.eye(d)), axis=(-2, -1))
+           / np.max(np.abs(m), axis=(-2, -1)))
+    return float(gap) if m.ndim == 2 else gap
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0))
 @settings(max_examples=50, deadline=None)
 def test_identity_gap_batch_matches_scalar(seed, k, max_log_scale):
@@ -289,6 +302,31 @@ def test_identity_gap_batch_matches_scalar(seed, k, max_log_scale):
     gaps = core.identity_gap(stack)
     assert gaps.shape == (k,)
     assert np.array_equal(gaps, [core.identity_gap(m) for m in stack])
+    assert gaps.tobytes() == ref_identity_gap(stack).tobytes()
+
+
+def test_identity_gap_matches_reference_off_the_finite_range():
+    # a trace that overflows, and NaN or inf on and off the diagonal
+    big = np.diag([1e308, 1e308, 1e308 + 0j])
+    stack = np.stack([big, big * 1j, np.eye(3) * 2.0, np.eye(3) * 2.0,
+                      np.eye(3) * 2.0, np.eye(3) * 2.0, np.zeros((3, 3))])
+    stack[2, 0, 1] = np.nan
+    stack[3, 1, 1] = np.nan
+    stack[4, 0, 2] = np.inf
+    stack[5, 2, 2] = complex(np.inf, 1.0)
+    with np.errstate(all="ignore"):
+        gaps = core.identity_gap(stack)
+        want = ref_identity_gap(stack)
+    assert gaps.tobytes() == want.tobytes()
+    assert np.all(np.isnan(gaps[:6]))
+
+
+@pytest.mark.parametrize("eta", [-0.35, 0.0, 0.2])
+def test_identity_gap_matches_reference_on_probe_levels(eta):
+    gens = bd.deform_group(ps.bend_preset("hnn-bend"), eta)
+    levels, _ = gr.element_ball(gens, 8, dedup=False)
+    for _, stack in levels[1:]:
+        assert core.identity_gap(stack).tobytes() == ref_identity_gap(stack).tobytes()
 
 
 def test_identity_gap_scalar_returns_float():

@@ -138,6 +138,15 @@ class TestPullbackDomain:
         assert census.sides == ("A", "a")
         assert census.stable is True
 
+    @pytest.mark.parametrize("preset, model", [("cyclic-vertical", "vertical-axis"),
+                                               ("cyclic-horizontal", "horizontal-line")])
+    def test_one_dimensional_slices_follow_two_rays(self, preset, model):
+        gens = ps.group_preset(preset)
+        few, many = (dm.pullback_domain_sides(gens, model, 1.0, 3, rays=rays)
+                     for rays in (100, 2000))
+        assert few == many
+        assert few.rays_used == 2
+
     def test_lattice_slice_four_sides(self):
         census = dm.pullback_domain_sides(
             z2_lattice(), "full-horizontal", 1.0, 3, rays=720

@@ -559,6 +559,30 @@ class TestDedupMatchesSequentialReference:
         assert done == completed
         assert total_words(levels) == [1, 5, 17, 53][completed]
 
+    @pytest.mark.parametrize("name, radius", [
+        ("fuchsian", 21), ("schottky", 10), ("z2-lattice", 12)])
+    def test_budget_oracle_at_user_scale(self, name, radius):
+        # the ball raises at the first L at which the elements up to length
+        # L and the children of level L exceed the budget, where every kept
+        # element past the identity has len(alphabet) - 1 children, the
+        # identity len(alphabet); budgets one below and at each boundary
+        gens = ps.group_preset(name)
+        levels, _ = gr.element_ball(gens, radius)
+        kept = np.array([len(links) for links, _ in levels])
+        assert len(kept) == radius + 1
+        size = len(gens.alphabet())
+        children = kept * (size - 1)
+        children[0] = size
+        need = np.cumsum(kept) + children
+        budgets = sorted({int(b) for b in need - 1} | {int(b) for b in need[:-1]})
+        for budget in budgets:
+            want = int(np.argmax(need > budget))
+            assert need[want] > budget
+            with pytest.raises(BudgetExceededError) as err:
+                gr.element_ball(gens, 28, budget=budget)
+            assert err.value.completed_radius == want, budget
+            assert str(err.value) == f"enumeration budget exhausted at radius {want}"
+
     @pytest.mark.parametrize("lifts", [False, True])
     def test_kernel_on_forced_key_collisions(self, lifts):
         # six distinct items, drawn again and again at random scale and
@@ -641,8 +665,8 @@ def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
     levels = []
     real_decide = gr._FirstKept.decide
 
-    def decide(self, items):
-        decision = real_decide(self, items)
+    def decide(self, items, *most_new):
+        decision = real_decide(self, items, *most_new)
         levels.append((self.key, items, decision[0]))
         return decision
 
@@ -677,6 +701,96 @@ def test_keys_depend_on_the_item_alone(monkeypatch, preset, depth, points):
     least = 60 if preset == "dilation" else 200  # a cyclic group's ball is thin
     assert checked > least
     assert (products > least) != points
+
+
+def test_exhausted_ball_confirms_nothing_at_its_last_level(monkeypatch):
+    # at the profile budget, the new hashes of length 21 alone show that
+    # length 22 cannot fit, so no repeat of length 21 is confirmed
+    confirmed = []
+    real_confirm = gr._FirstKept._confirm
+
+    def confirm(self, items, at, rep):
+        confirmed.append(len(self.kept))  # the length being decided
+        return real_confirm(self, items, at, rep)
+
+    monkeypatch.setattr(gr._FirstKept, "_confirm", confirm)
+    with pytest.raises(BudgetExceededError) as err:
+        gr.element_ball(ps.group_preset("fuchsian"), 28, budget=400_000)
+    assert err.value.completed_radius == 21
+    assert 20 in confirmed and 21 not in confirmed
+
+
+def ref_canonical_rows(items, digits=9):
+    """_canonical_rows as it was before it worked in place."""
+    flat = items.reshape(len(items), -1)
+    mag = np.abs(flat)
+    mx = np.max(mag, axis=1)
+    pivot = np.argmax(mag >= (1.0 - 1e-6) * mx[:, None], axis=1)
+    pv = flat[np.arange(flat.shape[0]), pivot]
+    canon = flat / pv[:, None]
+    return np.round(canon.view(float), digits)
+
+
+@pytest.mark.parametrize("preset, depth", [
+    ("schottky", 10), ("fuchsian", 21), ("z2-lattice", 10), ("dilation", 10),
+    ("cyclic-vertical", 6), ("cyclic-horizontal", 6), (-0.35, 8), (0.0, 8), (0.2, 8)])
+def test_canonical_rows_match_reference(preset, depth):
+    # the ball levels and orbit lifts at the depths the benchmark runs, and
+    # hnn-bend at three angles
+    gens = (ps.group_preset(preset) if isinstance(preset, str)
+            else bd.deform_group(ps.bend_preset("hnn-bend"), preset))
+    levels, _ = gr.element_ball(gens, depth, budget=400_000)
+    for _, stack in levels:
+        lifts = stack @ ball_origin().lift
+        for items in (stack, lifts):
+            assert same_bits(gr._canonical_rows(items), ref_canonical_rows(items))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_equal_matrix_keys_bound_the_matrix_gap(seed, real):
+    # element_ball merges matrices on equal keys alone, as its 1e-6 gap test
+    # would: two keys are equal when each real part of the pivot-divided
+    # entries rounds into one bin of width 1e-9, and the whisker lets the
+    # largest modulus exceed the pivot's by 1e-6.  Move the entries of a and
+    # b to opposite edges of their bins, at random scale and phase
+    rng = np.random.default_rng(seed)
+    k = 200
+    size = (k, 9)
+    c = rng.normal(size=size) + (0 if real else 1j * rng.normal(size=size))
+    p = rng.integers(0, 9, size=k)
+    c /= c[np.arange(k), p][:, None]
+    c /= np.maximum(np.abs(c).max(axis=1), 1.0)[:, None] / 0.999
+    late = np.flatnonzero(p < 8)
+    peak = rng.integers(p[late] + 1, 9)  # past the pivot, within its whisker
+    c[late, peak] *= (1 + rng.uniform(0, 0.99e-6, len(late))) / np.abs(c[late, peak])
+    c[np.arange(k), p] = 1.0  # the first entry within the whisker
+    c = np.round(c, 9)  # the centres of the bins
+    edge = 0.5e-9 * (1 - 1e-4)
+    move = rng.choice([-edge, edge], size=size)
+    if not real:
+        move = move + 1j * rng.choice([-edge, edge], size=size)
+    move[np.arange(k), p] = 0.0
+    phases = (rng.choice([-1.0, 1.0], size=(2, k, 1)) if real
+              else np.exp(2j * np.pi * rng.uniform(size=(2, k, 1))))
+    scales = 10.0 ** rng.uniform(-20, 20, size=(2, k, 1))
+    a = ((c + move) * scales[0] * phases[0]).reshape(k, 3, 3)
+    b = ((c - move) * scales[1] * phases[1]).reshape(k, 3, 3)
+    equal = np.all(gr._canonical_rows(a) == gr._canonical_rows(b), axis=1)
+    assert np.count_nonzero(equal) >= 0.9 * k
+    assert np.max(core.projective_matrix_gap(a[equal], b[equal])) <= 1e-8
+
+
+def test_element_ball_tests_no_matrix_gap(monkeypatch):
+    # equal keys decide element merges, so the ball never measures a gap
+    def no_gap(a, b):
+        raise AssertionError("element_ball measured a matrix gap")
+
+    groups = [ps.group_preset(name) for name in ps.GROUP_PRESETS]
+    groups.append(bd.deform_group(ps.bend_preset("hnn-bend"), 0.2))
+    monkeypatch.setattr(core, "projective_matrix_gap", no_gap)
+    for gens in groups:
+        gr.element_ball(gens, 8)
 
 
 def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():

@@ -80,33 +80,22 @@ class SideCensus:
 def _ball_frame(center):
     """J-unitary matrix sending the ball-model origin to the center.
 
-    The lift is rotated to a real positive last coordinate first, so the
-    frame, and the census run in it, depend only on the projective point.
+    The transvection [[I + p p*/(1 + c), p], [p*, c]] = J + v v*/(1 + c),
+    v = (p, 1 + c), where b = (p, c) is the center's lift scaled to
+    <b, b> = -1 with c real and positive, so the frame, and the census run
+    in it, depend only on the projective point.  At the origin it is
+    exactly I.
     """
     lift = center.lift
-    d = lift.shape[0]
     norm = core.herm_inner(lift, lift).real
     if norm >= 0:
         raise DegenerateInputError("center must be an interior point")
     # the last coordinate of an interior point is never 0
     b = lift * (np.conj(lift[-1]) / abs(lift[-1])) / np.sqrt(-norm)
-    cols = [b]
-    for k in range(d):
-        w = np.zeros(d, dtype=complex)
-        w[k] = 1.0
-        # J-orthogonal projection away from the accepted columns
-        w = w + core.herm_inner(w, b) * b
-        for v in cols[1:]:
-            w = w - core.herm_inner(w, v) * v
-        nw = core.herm_inner(w, w).real
-        if nw > 1e-8:
-            cols.append(w / np.sqrt(nw))
-        if len(cols) == d:
-            break
-    if len(cols) < d:
-        raise DegenerateInputError("failed to complete a frame at the center")
-    q = np.column_stack(cols[1:] + [b])
-    return core.Isometry(q)
+    c = b[-1].real
+    v = np.append(b[:-1], 1.0 + c)
+    j = core.form_matrix(len(b) - 1)
+    return core.Isometry(j + np.outer(v, v.conj()) / (1.0 + c))
 
 
 def _halton(count, dim, seed=0):
@@ -417,8 +406,6 @@ def pullback_domain_sides(
     """
     if rays < 100:
         raise ParameterError("need at least 100 rays")
-    if not gens.labels:
-        raise DegenerateInputError("empty generator set")
     _check_invariance(gens, model, u0)
     first = _slice_census(gens, model, u0, enum_radius, rays, margin, budget)
     second = _slice_census(gens, model, u0, enum_radius + 2, rays, margin, budget)

@@ -30,13 +30,13 @@ and searches the index.  One pass then confirms each repeat against its
 presumed representative on the full keys, recomputed from the two items,
 which is exact because a key depends on its item alone; keys that share a
 hash are told apart by their bytes, so a hash collision never merges
-items.  An item with a new key is kept.  An element with a seen key is
-dropped: equal keys bound the matrix gap by about 6e-9, within the 1e-6
-that elements are told apart by.  A point with a seen key is dropped when
-it matches a kept point with that key (lift gap <= PROJ_TOL, finer than
-its key).  Items with different keys are never compared.  The kept items
-are computed last.  All of this is float64, so far-out orbit points whose
-lifts agree to rounding merge though distinct.
+items.  Equal keys decide every merge: an item with a new key is kept, and
+an item with a seen key is dropped.  Equal keys bound the projective
+matrix gap of two elements by about 6e-9, within the 1e-6 that elements
+are told apart by, and the lift gap of two points by 2 sqrt(2) 1e-9
+(1 + 1e-6), about 2.83e-9.  Items with different keys are never compared.
+The kept items are computed last.  All of this is float64, so far-out
+orbit points whose lifts agree to rounding merge though distinct.
 """
 
 from dataclasses import dataclass
@@ -80,6 +80,8 @@ class GroupGens:
                 iso = core.Isometry(np.asarray(iso, dtype=complex))
             labels.append(label)
             isos.append(iso)
+        if not labels:
+            raise DegenerateInputError("empty generator set")
         if len(set(labels)) != len(labels):
             raise ParameterError("generator labels must be unique")
         inv = frozenset(involutive)
@@ -241,7 +243,7 @@ def _byte_rows(words):
     return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
-_CHUNK = 2048  # items per batch of products, keys or `same`, to bound temporaries
+_CHUNK = 2048  # items per batch of products or keys, to bound temporaries
 
 
 class _FirstKept:
@@ -251,12 +253,11 @@ class _FirstKept:
     on its item alone, bit for bit, in any batch: keys are not stored but
     computed again, a chunk at a time, wherever they are compared.  Keys
     are compared as bytes, read as uint64 words, so -0.0 and +0.0 differ
-    and a NaN equals only its own bit pattern.  same, when given, is a
-    finer test that items with equal keys must also pass to merge; without
-    it, equal keys decide.  A key's first kept item is its representative.
-    The index is the sorted `_key_hash` of every key seen so far, each with
-    its representative's row in the kept stacks, which are stored per level
-    and never copied.
+    and a NaN equals only its own bit pattern.  Two items merge exactly
+    when their keys are equal, and a key's first kept item is its
+    representative.  The index is the sorted `_key_hash` of every key seen
+    so far, each with its representative's row in the kept stacks, which
+    are stored per level and never copied.
 
     A level's items are an array or `_Products`, indexed by slices and
     index arrays; only their hashes are held.  One sort of the hashes
@@ -266,26 +267,21 @@ class _FirstKept:
     else the first item of its group.  The hash groups that miss the index
     are a lower bound on the level's new keys, so a caller's limit on them
     is checked before any representative is built.  One chunked pass
-    confirms every repeat on the two full keys and tests it against that
-    representative with `same`.  A key that differs marks a collision, two
-    keys with one hash, and its group takes an exact path: regrouped by
-    bytes with every index entry of its hash (np.unique), then tested
-    again.  So a collision costs time but never merges items or fails.
-    Items whose key is new are kept; items that differ from their
-    representative under `same` are checked, in order, against the key's
-    other kept items.  `decide` leaves the index and the stacks as they
-    are, and `commit` enters its decision and computes the kept items,
-    last.
+    confirms every repeat on the two full keys.  A key unequal to its
+    representative's marks a collision, two keys with one hash, and its
+    group takes an exact path: regrouped by bytes with every index entry of
+    its hash (np.unique).  So a collision costs time but never merges items
+    or fails.  Items whose key is new are kept, and the rest dropped.
+    `decide` leaves the index and the stacks as they are, and `commit`
+    enters its decision and computes the kept items, last.
     """
 
-    def __init__(self, same, key):
-        self.same = same  # batched: (stack, stack) -> bool array, or None
+    def __init__(self, key):
         self.key = key  # batched: stack -> key rows, each of its item alone
         self.hashes = np.empty(0, dtype=np.uint64)  # sorted
         self.reps = np.empty(0, dtype=np.int32)  # kept row of each hash's key
         self.kept = []  # per level: kept items
         self.starts = np.zeros(1, dtype=np.int64)  # first kept row per level
-        self.others = {}  # key bytes -> kept items after the first
 
     def _words(self, items):
         """The keys of a batch of items as rows of uint64 words."""
@@ -301,12 +297,9 @@ class _FirstKept:
         return out
 
     def _confirm(self, items, at, rep):
-        """For each of items[at], whether its key equals its representative's,
-        and whether the two are the same item: under `same`, else by their
-        keys.  rep[i] >= 0 is a kept row, and rep[i] < 0 stands for
-        items[~rep[i]]."""
+        """For each of items[at], whether its key equals its representative's.
+        rep[i] >= 0 is a kept row, and rep[i] < 0 stands for items[~rep[i]]."""
         equal = np.empty(len(at), dtype=bool)
-        same = equal if self.same is None else np.empty(len(at), dtype=bool)
         for lo in range(0, len(at), _CHUNK):
             c = slice(lo, lo + _CHUNK)
             x, r = items[at[c]], rep[at[c]]
@@ -316,9 +309,7 @@ class _FirstKept:
                 y[earlier] = self._rows(r[earlier])
             y[~earlier] = items[~r[~earlier]]
             equal[c] = np.all(self._words(x) == self._words(y), axis=1)
-            if self.same is not None:
-                same[c] = self.same(x, y)
-        return equal, same
+        return equal
 
     def _insert(self, hashes, rows):
         """Merge new keys' sorted hashes and representative rows into the index."""
@@ -363,14 +354,10 @@ class _FirstKept:
         return rep
 
     def _classify(self, items, hashes, rep):
-        """Whether each item's key is new, and whether each repeat differs
-        from its key's representative under `same`, given the presumed
-        representatives."""
+        """Whether each item's key is new, given the presumed representatives."""
         own = ~np.arange(len(items), dtype=np.int32)
         repeat = np.flatnonzero(rep != own)
-        equal, same = self._confirm(items, repeat, rep)
-        differs = np.zeros(len(items), dtype=bool)
-        differs[repeat] = ~same
+        equal = self._confirm(items, repeat, rep)
         if not np.all(equal):
             # keys that share a hash: regroup by bytes, with the index's keys
             rows = np.flatnonzero(np.isin(hashes, hashes[repeat[~equal]]))
@@ -381,10 +368,7 @@ class _FirstKept:
             _, first, inverse = np.unique(_byte_rows(words), return_index=True,
                                           return_inverse=True)
             rep[rows] = np.concatenate([entries, ~rows])[first][inverse[len(entries):]]
-            again = rows[rep[rows] != ~rows]
-            differs[rows] = False
-            differs[again] = ~self._confirm(items, again, rep)[1]
-        return rep == own, differs
+        return rep == own
 
     def decide(self, items, most_new=np.inf):
         """One level's decision: the ascending indices of the items to keep,
@@ -398,19 +382,10 @@ class _FirstKept:
         rep = self._presumed(hashes, order, most_new)
         if rep is None:
             return None
-        new, differs = self._classify(items, hashes, rep)
-        kept = new.copy()
-        for i in np.flatnonzero(differs):
-            item = items[i:i + 1]
-            others = self.others.setdefault(self._words(item).tobytes(), [])
-            if others and np.any(self.same(item[0], np.stack(others))):
-                continue
-            others.append(item[0].copy())
-            kept[i] = True
-        idx = np.flatnonzero(kept)
-        new = order[new[order]]  # the first items of new keys, in hash order
-        rows = np.cumsum(kept, dtype=np.int32)[new] + (self.starts[-1] - 1)
-        return idx, hashes[new], rows
+        new = self._classify(items, hashes, rep)
+        first = order[new[order]]  # the first items of new keys, in hash order
+        rows = np.cumsum(new, dtype=np.int32)[first] + (self.starts[-1] - 1)
+        return np.flatnonzero(new), hashes[first], rows
 
     def commit(self, items, decision):
         """Enter a level's decision into the index, and store its kept items."""
@@ -492,7 +467,7 @@ def element_ball(gens, max_len, budget=DEFAULT_BUDGET, dedup=True):
     levels = []
     total = 0
     if dedup:
-        seen = _FirstKept(None, _canonical_rows)
+        seen = _FirstKept(_canonical_rows)
     for length in range(max_len + 1):
         over = BudgetExceededError(f"enumeration budget exhausted at radius {length}",
                                    completed_radius=length)
@@ -525,7 +500,9 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
 
     Points are deduplicated projectively, so each orbit point appears once,
     labeled by the first word (breadth-first, lexicographic) that reaches
-    it.  Returns an Orbit in that order.  Raises BudgetExceededError
+    it: a point is dropped when its key equals an earlier point's.  Equal
+    keys bound the two lifts' projective gap by about 2.83e-9, and points
+    are never compared otherwise.  Returns an Orbit in that order.  Raises BudgetExceededError
     carrying the completed radius, before any orbit point is computed, when
     the enumeration budget runs out.
     """
@@ -538,8 +515,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     base = basepoint.lift
     d = len(base)
     norm = float(core.herm_inner(base, base).real)
-    seen = _FirstKept(lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL,
-                      _canonical_rows)
+    seen = _FirstKept(_canonical_rows)
     ball_words = Words(gens, levels)
     columns = []  # per level: kept ball elements, lifts and distances
     for start, (_, stack) in zip(ball_words.starts, levels):

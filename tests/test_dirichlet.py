@@ -895,6 +895,25 @@ def test_census_depends_only_on_the_projective_center():
             assert abs(got.margins[w] - want.margins[w]) <= 1e-9
 
 
+def test_ball_frame_is_a_transvection_to_the_center():
+    # the closed-form frame preserves the form to rounding and sends the
+    # origin to the center, for centers up to distance 15 whose lifts have
+    # any scale and phase; at the origin, where every CLI census runs, it
+    # is exactly I
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        frame = dm._ball_frame(cli._ball_origin(n + 1)).matrix
+        assert frame.tobytes() == np.eye(n + 1, dtype=complex).tobytes()
+        for _ in range(500):
+            u = rng.normal(size=n) + 1j * rng.normal(size=n)
+            z = np.tanh(rng.uniform(0, 7.5)) * u / np.linalg.norm(u)
+            scale = 10.0 ** rng.uniform(-5, 5) * np.exp(2j * np.pi * rng.uniform())
+            center = core.ProjectivePoint(np.append(z, 1.0) * scale)
+            m = dm._ball_frame(center).matrix
+            assert core.form_defect(m) <= 4e-15 * np.max(np.abs(m)) ** 2
+            assert core.projective_lift_gap(m[:, -1], center.lift) <= 2e-15
+
+
 def _ball_orbit(preset, radius, center):
     gens = ps.group_preset(preset)
     _, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)

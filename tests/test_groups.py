@@ -81,6 +81,11 @@ class TestGroupGens:
         with pytest.raises(ValueError):
             gr.GroupGens([("a", t)], involutive="b")
 
+    def test_empty_generator_set_rejected(self):
+        # before any caller stacks no matrices or asks for a dimension
+        with pytest.raises(DegenerateInputError, match="empty generator set"):
+            gr.GroupGens([])
+
     def test_alphabet_includes_inverses(self):
         gens = z2_lattice()
         symbols = [s for s, _ in gens.alphabet()]
@@ -585,43 +590,37 @@ class TestDedupMatchesSequentialReference:
 
     @pytest.mark.parametrize("lifts", [False, True])
     def test_kernel_on_forced_key_collisions(self, lifts):
-        # six distinct items, drawn again and again at random scale and
-        # phase, get one of two keys: distinct items share a key and later
-        # bucket members decide, which the presets never exercise
+        # unrelated items get forced keys from a set that grows level by
+        # level, so equal keys join items that are not projectively equal,
+        # and a level brings repeats of its own keys, repeats of earlier
+        # levels' keys and new keys: keep returns exactly the first item of
+        # each key not seen before, whatever the items are
         rng = np.random.default_rng(3)
         shape = (3,) if lifts else (3, 3)
-        base = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
-        if lifts:
-            same = lambda x, y: core.projective_lift_gap(x, y) <= core.PROJ_TOL
-            ref_same = lambda x, y: ref_lift_gap(x, y) <= core.PROJ_TOL
-        else:
-            same = lambda x, y: ~(core.projective_matrix_gap(x, y) > 1e-6)
-            ref_same = lambda x, y: not ref_matrix_gap(x, y) > 1e-6
         forced = {}  # item bytes -> its forced key
 
         def key(batch):
-            return np.array([forced[x.tobytes()] for x in batch]).reshape(-1, 1)
+            return np.array([forced[x.tobytes()] for x in batch]).reshape(-1, 2)
 
-        kernel = gr._FirstKept(same, key)
-        buckets = {}
-        decided_later = 0
-        for _ in range(4):
-            pick = rng.integers(0, 6, size=50)
-            scale = rng.uniform(0.1, 10, 50) * np.exp(1j * rng.uniform(0, 7, 50))
-            items = base[pick] * scale.reshape((50,) + (1,) * len(shape))
-            keys = rng.integers(0, 2, size=(50, 1)).astype(float)
+        kernel = gr._FirstKept(key)
+        seen = set()
+        earlier = 0  # repeats of a key first seen at an earlier level
+        for level in range(4):
+            items = rng.normal(size=(50,) + shape) + 1j * rng.normal(size=(50,) + shape)
+            keys = rng.integers(0, 2 + 2 * level, size=(50, 2)).astype(float)
             forced.update((x.tobytes(), k) for x, k in zip(items, keys))
+            before = set(seen)
             want = []
-            for i in range(50):
-                bucket = buckets.setdefault(keys[i].tobytes(), [])
-                decided_later += bool(bucket) and not ref_same(items[i], bucket[0])
-                if not any(ref_same(items[i], m) for m in bucket):
-                    bucket.append(items[i])
+            for i, k in enumerate(keys):
+                earlier += k.tobytes() in before
+                if k.tobytes() not in seen:
+                    seen.add(k.tobytes())
                     want.append(i)
             idx, kept = kernel.keep(items)
             assert idx.tolist() == want
             assert same_bits(kept, items[want])
-        assert decided_later > 0
+            assert 0 < len(want) < 50
+        assert earlier > 0
 
 
 class TestDedupUnderDegenerateHash(TestDedupMatchesSequentialReference):
@@ -749,36 +748,40 @@ def test_canonical_rows_match_reference(preset, depth):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_equal_matrix_keys_bound_the_matrix_gap(seed, real):
-    # element_ball merges matrices on equal keys alone, as its 1e-6 gap test
-    # would: two keys are equal when each real part of the pivot-divided
-    # entries rounds into one bin of width 1e-9, and the whisker lets the
-    # largest modulus exceed the pivot's by 1e-6.  Move the entries of a and
-    # b to opposite edges of their bins, at random scale and phase
+    # dedup merges items on equal keys alone: two keys are equal when each
+    # real part of the pivot-divided entries rounds into one bin of width
+    # 1e-9, and the whisker lets the largest modulus exceed the pivot's by
+    # 1e-6.  Move the entries of a and b to opposite edges of their bins, at
+    # random scale and phase.  Matrices then stay within the 1e-6 that
+    # elements are told apart by, and lifts within 2 sqrt(2) 1e-9 (1 + 1e-6)
     rng = np.random.default_rng(seed)
     k = 200
-    size = (k, 9)
-    c = rng.normal(size=size) + (0 if real else 1j * rng.normal(size=size))
-    p = rng.integers(0, 9, size=k)
-    c /= c[np.arange(k), p][:, None]
-    c /= np.maximum(np.abs(c).max(axis=1), 1.0)[:, None] / 0.999
-    late = np.flatnonzero(p < 8)
-    peak = rng.integers(p[late] + 1, 9)  # past the pivot, within its whisker
-    c[late, peak] *= (1 + rng.uniform(0, 0.99e-6, len(late))) / np.abs(c[late, peak])
-    c[np.arange(k), p] = 1.0  # the first entry within the whisker
-    c = np.round(c, 9)  # the centres of the bins
-    edge = 0.5e-9 * (1 - 1e-4)
-    move = rng.choice([-edge, edge], size=size)
-    if not real:
-        move = move + 1j * rng.choice([-edge, edge], size=size)
-    move[np.arange(k), p] = 0.0
-    phases = (rng.choice([-1.0, 1.0], size=(2, k, 1)) if real
-              else np.exp(2j * np.pi * rng.uniform(size=(2, k, 1))))
-    scales = 10.0 ** rng.uniform(-20, 20, size=(2, k, 1))
-    a = ((c + move) * scales[0] * phases[0]).reshape(k, 3, 3)
-    b = ((c - move) * scales[1] * phases[1]).reshape(k, 3, 3)
-    equal = np.all(gr._canonical_rows(a) == gr._canonical_rows(b), axis=1)
-    assert np.count_nonzero(equal) >= 0.9 * k
-    assert np.max(core.projective_matrix_gap(a[equal], b[equal])) <= 1e-8
+    for shape, gap, bound in [((3, 3), core.projective_matrix_gap, 1e-8),
+                              ((3,), core.projective_lift_gap, 3e-9)]:
+        width = int(np.prod(shape))
+        size = (k, width)
+        c = rng.normal(size=size) + (0 if real else 1j * rng.normal(size=size))
+        p = rng.integers(0, width, size=k)
+        c /= c[np.arange(k), p][:, None]
+        c /= np.maximum(np.abs(c).max(axis=1), 1.0)[:, None] / 0.999
+        late = np.flatnonzero(p < width - 1)
+        peak = rng.integers(p[late] + 1, width)  # past the pivot, in its whisker
+        c[late, peak] *= (1 + rng.uniform(0, 0.99e-6, len(late))) / np.abs(c[late, peak])
+        c[np.arange(k), p] = 1.0  # the first entry within the whisker
+        c = np.round(c, 9)  # the centres of the bins
+        edge = 0.5e-9 * (1 - 1e-4)
+        move = rng.choice([-edge, edge], size=size)
+        if not real:
+            move = move + 1j * rng.choice([-edge, edge], size=size)
+        move[np.arange(k), p] = 0.0
+        phases = (rng.choice([-1.0, 1.0], size=(2, k, 1)) if real
+                  else np.exp(2j * np.pi * rng.uniform(size=(2, k, 1))))
+        scales = 10.0 ** rng.uniform(-20, 20, size=(2, k, 1))
+        a = ((c + move) * scales[0] * phases[0]).reshape((k,) + shape)
+        b = ((c - move) * scales[1] * phases[1]).reshape((k,) + shape)
+        equal = np.all(gr._canonical_rows(a) == gr._canonical_rows(b), axis=1)
+        assert np.count_nonzero(equal) >= 0.9 * k
+        assert np.max(gap(a[equal], b[equal])) <= bound
 
 
 def test_element_ball_tests_no_matrix_gap(monkeypatch):
@@ -791,6 +794,20 @@ def test_element_ball_tests_no_matrix_gap(monkeypatch):
     monkeypatch.setattr(core, "projective_matrix_gap", no_gap)
     for gens in groups:
         gr.element_ball(gens, 8)
+
+
+def test_orbit_enumerate_tests_no_lift_gap(monkeypatch):
+    # equal keys decide orbit point merges too, so the orbit never measures
+    # a lift gap
+    def no_gap(a, b):
+        raise AssertionError("orbit_enumerate measured a lift gap")
+
+    groups = [ps.group_preset(name) for name in ps.GROUP_PRESETS]
+    groups.append(bd.deform_group(ps.bend_preset("hnn-bend"), 0.2))
+    monkeypatch.setattr(core, "projective_lift_gap", no_gap)
+    for gens in groups:
+        orbit = gr.orbit_enumerate(gens, 6, ball_origin())
+        assert len(orbit) > 1
 
 
 def test_element_ball_peak_memory_is_bounded_by_what_it_keeps():

@@ -1,0 +1,44 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chgeom"
+
+
+def _defined_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced_names(node):
+    """The names a statement reads, as plain names, attributes or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_private_module_name_is_used():
+    # a module-level private function, class or constant that no other
+    # statement of the package reads is dead code
+    statements = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    refs = [_referenced_names(node) for _, node in statements]
+    unused = []
+    for i, (module, node) in enumerate(statements):
+        for name in _defined_names(node):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for k, r in enumerate(refs) if k != i):
+                unused.append(f"{module}: {name}")
+    assert unused == []
+    assert len(statements) > 100  # the package was found and parsed

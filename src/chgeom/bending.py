@@ -8,7 +8,8 @@ conjugate the second factor by the unitary rotation; the Cartan angular
 invariant of a tracked fixed-point triple separates the deformations.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,18 +27,20 @@ from .errors import (
 CARTAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BendParams:
+class BendParams(namedtuple("BendParams", "eta zeta")):
     """Bend angle eta and sector half-width zeta."""
 
-    eta: float
-    zeta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.zeta < np.pi / 2:
+    def __new__(cls, eta, zeta):
+        if not 0 < zeta < np.pi / 2:
             raise ParameterError("zeta must lie in (0, pi/2)")
-        if not abs(self.eta) < np.pi - 2 * self.zeta:
+        if not abs(eta) < np.pi - 2 * zeta:
             raise ParameterError("|eta| must be smaller than pi - 2 zeta")
+        return super().__new__(cls, eta, zeta)
+
+    # _replace builds through _make, so it validates as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _sector_schedule(a, params):
@@ -114,21 +117,21 @@ def _is_projectively_real(matrix, tol=1e-9):
     return core.projective_matrix_gap(matrix, np.conj(matrix)) <= tol
 
 
-@dataclass(frozen=True)
-class AmalgamSpec:
+class AmalgamSpec(namedtuple(
+        "AmalgamSpec", "g_alpha group_one group_two hnn_partner hnn_label")):
     """A real group split as a free amalgam or HNN extension over <g_alpha>.
 
-    group_two holds the second amalgam factor; for an HNN splitting it is
-    None and hnn_partner carries the stable letter (labelled hnn_label).
+    g_alpha is an Isometry and group_one a GroupGens.  group_two holds the
+    second amalgam factor; for an HNN splitting it is None and hnn_partner
+    carries the stable letter (labelled hnn_label).
     """
 
-    g_alpha: core.Isometry
-    group_one: gr.GroupGens
-    group_two: gr.GroupGens = None
-    hnn_partner: core.Isometry = None
-    hnn_label: str = "b"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, g_alpha, group_one, group_two=None, hnn_partner=None,
+                hnn_label="b"):
+        self = super().__new__(cls, g_alpha, group_one, group_two, hnn_partner,
+                               hnn_label)
         if (self.group_two is None) == (self.hnn_partner is None):
             raise ParameterError("provide exactly one of group_two and hnn_partner")
         if core.classify_isometry(self.g_alpha) != "loxodromic":
@@ -153,6 +156,10 @@ class AmalgamSpec:
             if clash:
                 raise ParameterError(
                     f"duplicate labels across factors: {sorted(clash)}")
+        return self
+
+    # _replace builds through _make, so it validates as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def kind(self):
@@ -181,16 +188,13 @@ def deform_group(spec, eta):
     return gr.GroupGens(pairs, involutive=involutive)
 
 
-@dataclass(frozen=True)
-class BoundaryTriple:
-    """Three pairwise distinct boundary (null) points."""
+class BoundaryTriple(namedtuple("BoundaryTriple", "p0 p1 p2")):
+    """Three pairwise distinct boundary (null) points, as ProjectivePoints."""
 
-    p0: core.ProjectivePoint
-    p1: core.ProjectivePoint
-    p2: core.ProjectivePoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = (self.p0, self.p1, self.p2)
+    def __new__(cls, p0, p1, p2):
+        pts = (p0, p1, p2)
         for p in pts:
             if core.point_class(p) != "null":
                 raise PointClassError("triple points must be boundary points")
@@ -198,6 +202,10 @@ class BoundaryTriple:
             for j in range(i + 1, 3):
                 if pts[i].projectively_equal(pts[j], tol=1e-10):
                     raise DegenerateInputError("triple points must be distinct")
+        return super().__new__(cls, p0, p1, p2)
+
+    # _replace builds through _make, so it validates as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def cartan_invariant(t):
@@ -218,8 +226,7 @@ def cartan_invariant(t):
     return float(np.angle(-prod))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One angle sample: deformation evidence and the tracked invariant."""
 
     eta: float
@@ -230,8 +237,7 @@ class SweepRow:
     limit_points: gr.HeisCloud
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Sorted sweep rows plus the separation verdicts across the grid."""
 
     rows: tuple

@@ -2,7 +2,8 @@
 
 Every command validates its configuration, computes the full payload, and
 only then writes it, so a failing run never leaves a partial file.  JSON is
-canonical; CSV projects a table out of it and SVG is presentation only.
+canonical, the text of json.dumps(payload, sort_keys=True, indent=2); CSV
+projects a table out of it and SVG is presentation only.
 The timestamp lives in the meta block and is the single nondeterministic
 field.
 
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -452,9 +454,60 @@ def _to_svg(command, payload):
     return "\n".join(body) + "\n"
 
 
+# with indent unset, json hands a whole list to its C encoder; "\x00" can
+# separate the items, since the encoder escapes it inside strings
+_encode_flat = json.JSONEncoder(separators=("\x00", ": ")).encode
+
+
+def _canonical_json(payload):
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte."""
+    return _json_cells([payload], "")[0] + "\n"
+
+
+def _json_cells(values, indent):
+    """Each value's text as canonical JSON nests it under `indent`.
+
+    values is a nonempty list.  Its scalars take one C-encoder pass, and so
+    do the items of all its lists together.  Dicts with one key order share
+    a row template, filled in one column at a time.
+    """
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        return _encode_flat(values)[1:-1].split("\x00")
+    inner = indent + "  "
+    cells = [None] * len(values)
+    scalars, lists, groups = [], [], {}
+    for i, value in enumerate(values):
+        if not isinstance(value, (dict, list, tuple)):
+            scalars.append(i)
+        elif not value:
+            cells[i] = "{}" if isinstance(value, dict) else "[]"
+        elif isinstance(value, dict):
+            groups.setdefault(tuple(value), []).append(i)
+        else:
+            lists.append(i)
+    if scalars:
+        for i, cell in zip(scalars, _json_cells([values[i] for i in scalars], indent)):
+            cells[i] = cell
+    if lists:
+        items = iter(_json_cells([x for i in lists for x in values[i]], inner))
+        for i in lists:
+            cells[i] = (f"[\n{inner}" + f",\n{inner}".join(islice(items, len(values[i])))
+                        + f"\n{indent}]")
+    for keys, rows in groups.items():
+        keys = sorted(keys)
+        # the C encoder writes each key as json does, '"key": 0'
+        items = _encode_flat(dict.fromkeys(keys, 0))[1:-1].replace("%", "%%")
+        template = ("{" + ",".join(f"\n{inner}{item[:-1]}%s" for item in items.split("\x00"))
+                    + f"\n{indent}}}")
+        columns = [_json_cells([values[i][key] for i in rows], inner) for key in keys]
+        for i, row in zip(rows, zip(*columns)):
+            cells[i] = template % row
+    return cells
+
+
 def _render(args, payload):
     if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _canonical_json(payload)
     if args.format == "csv":
         return _to_csv(args.command, payload)
     return _to_svg(args.command, payload)

@@ -23,10 +23,6 @@ spectrum, with defective cases resolved through rank tests rather than raw
 eigenvalue moduli, which are unreliable for Jordan blocks.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -158,7 +154,6 @@ def form_defect(matrix, n=None):
     return float(np.max(np.abs(matrix.conj().T @ j @ matrix - j)))
 
 
-@dataclass(eq=False)
 class Isometry:
     """A form-preserving matrix up to unit scalar, det-normalized on creation.
 
@@ -167,10 +162,10 @@ class Isometry:
     floating-point drift.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DimensionError("matrix must be square of size n+1 >= 2")
         scale = max(1.0, float(np.max(np.abs(m))) ** 2)
@@ -185,9 +180,9 @@ class Isometry:
             # far-out products can round the determinant to 0 or overflow it
             raise FormViolationError(
                 f"matrix determinant {det:.3e} cannot be normalized")
-        # dividing also turns -0.0 entries into +0.0 for the dedup keys
-        m = m / det ** (1.0 / m.shape[0])
-        self.matrix = m
+        # the division keeps signed zeros: a -0.0 part of an entry can come
+        # out as -0.0, so the dedup keys cannot rely on it to clear them
+        self.matrix = m / det ** (1.0 / m.shape[0])
 
     @property
     def n(self):

@@ -42,7 +42,7 @@ completeness claim.
 """
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ SIDE_MARGIN = 1e-6
 _EXIT_CELLS = 1 << 16  # ray-orbit pairs per chunk, to bound temporaries
 
 
-@dataclass(frozen=True)
-class SideCensus:
+class SideCensus(NamedTuple):
     """Certified Dirichlet sides with sampling evidence.
 
     margins maps each side word to the minimal strictness margin among its
@@ -409,7 +408,7 @@ def pullback_domain_sides(
     _check_invariance(gens, model, u0)
     first = _slice_census(gens, model, u0, enum_radius, rays, margin, budget)
     second = _slice_census(gens, model, u0, enum_radius + 2, rays, margin, budget)
-    return replace(first, stable=first.sides == second.sides)
+    return first._replace(stable=first.sides == second.sides)
 
 
 def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):

@@ -39,8 +39,9 @@ The kept items are computed last.  All of this is float64, so far-out
 orbit points whose lifts agree to rounding merge though distinct.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,18 +58,16 @@ from .errors import (
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True, eq=False)
 class GroupGens:
     """Labeled generating set of a subgroup of PU(n,1).
 
     labels are single symbols; the inverse of label 'a' is written 'A'
     (swapcase), except labels in `involutive`, which square to the identity
-    and serve as their own inverse.
+    and serve as their own inverse.  labels and isometries are tuples,
+    involutive a frozenset.
     """
 
-    labels: tuple
-    isometries: tuple
-    involutive: frozenset = frozenset()
+    __slots__ = ("labels", "isometries", "involutive")
 
     def __init__(self, generators, involutive=()):
         labels = []
@@ -96,9 +95,9 @@ class GroupGens:
         if unknown:
             raise ParameterError(
                 f"involutive labels {sorted(unknown)} are not generators")
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "isometries", tuple(isos))
-        object.__setattr__(self, "involutive", inv)
+        self.labels = tuple(labels)
+        self.isometries = tuple(isos)
+        self.involutive = inv
 
     @property
     def dim(self):
@@ -147,7 +146,6 @@ class Words:
         return words.tolist()
 
 
-@dataclass(frozen=True, eq=False)
 class Orbit:
     """Orbit points as columns; row i is one point.
 
@@ -157,14 +155,13 @@ class Orbit:
     word's element in ball_words.  `words` spells the words on first use.
     """
 
-    word_lengths: np.ndarray
-    lifts: np.ndarray
-    distances: np.ndarray
-    elements: np.ndarray
-    ball_words: Words
-
-    def __post_init__(self):
-        object.__setattr__(self, "lifts", core._checked_lifts(self.lifts, ndim=2))
+    # no __slots__: cached_property keeps `words` in the instance __dict__
+    def __init__(self, word_lengths, lifts, distances, elements, ball_words):
+        self.word_lengths = word_lengths
+        self.lifts = core._checked_lifts(lifts, ndim=2)
+        self.distances = distances
+        self.elements = elements
+        self.ball_words = ball_words
 
     def __len__(self):
         return len(self.word_lengths)
@@ -543,13 +540,12 @@ def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
                     np.maximum.reduceat(orbit.distances, starts).tolist()))
 
 
-@dataclass(frozen=True)
-class SpherePacking:
+class SpherePacking(namedtuple("SpherePacking", "spheres")):
     """Disjoint closed Cygan balls on the Heisenberg boundary."""
 
-    spheres: tuple
+    __slots__ = ()
 
-    def __init__(self, spheres):
+    def __new__(cls, spheres):
         items = []
         for center, radius in spheres:
             if not isinstance(center, hb.HeisPoint):
@@ -558,11 +554,13 @@ class SpherePacking:
             if radius <= 0:
                 raise InvalidPackingError("radii must be positive")
             items.append((center, radius))
-        object.__setattr__(self, "spheres", tuple(items))
+        return super().__new__(cls, tuple(items))
+
+    # _replace builds through _make, so it validates as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class PingPongCertificate:
+class PingPongCertificate(NamedTuple):
     """Ping-pong bound for the inversions of a disjoint sphere packing.
 
     pairs_checked counts the ordered pairs (i, j), i != j, of balls, and
@@ -658,8 +656,7 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
                      np.concatenate([v for _, _, v, _ in coords]))
 
 
-@dataclass(frozen=True)
-class BoxDimFit:
+class BoxDimFit(NamedTuple):
     """Least-squares box-counting fit: slope, max log-residual, raw counts."""
 
     slope: float

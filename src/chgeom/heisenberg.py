@@ -19,10 +19,6 @@ the projective point with lift (0, ..., -1, 1).  The lift of (xi, v, u) is
 which satisfies <z, z> = -u.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core
@@ -39,16 +35,14 @@ def _as_xi(xi):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class HeisPoint:
     """Boundary point (xi, v) in C^{n-1} x R."""
 
-    xi: np.ndarray
-    v: float
+    __slots__ = ("xi", "v")
 
     def __init__(self, xi, v):
-        object.__setattr__(self, "xi", _as_xi(xi))
-        object.__setattr__(self, "v", float(v))
+        self.xi = _as_xi(xi)
+        self.v = float(v)
 
     @property
     def n(self):
@@ -58,21 +52,18 @@ class HeisPoint:
         return HoroPoint(self.xi, self.v, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class HoroPoint:
     """Interior or boundary point (xi, v, u) with height u >= 0."""
 
-    xi: np.ndarray
-    v: float
-    u: float
+    __slots__ = ("xi", "v", "u")
 
     def __init__(self, xi, v, u):
         u = float(u)
         if u < 0:
             raise ParameterError("height u must be nonnegative")
-        object.__setattr__(self, "xi", _as_xi(xi))
-        object.__setattr__(self, "v", float(v))
-        object.__setattr__(self, "u", u)
+        self.xi = _as_xi(xi)
+        self.v = float(v)
+        self.u = u
 
     @property
     def n(self):
@@ -156,13 +147,10 @@ def inversion_matrix(n=2):
     return core.Isometry(np.diag(d))
 
 
-@dataclass(frozen=True, eq=False)
 class HeisSimilarity:
     """Rotation A in U(n-1), then dilation by r > 0, then left translation."""
 
-    rotation: np.ndarray
-    translation: HeisPoint
-    dilation: float
+    __slots__ = ("rotation", "translation", "dilation")
 
     def __init__(self, rotation=None, translation=None, dilation=1.0, n=2):
         if rotation is None:
@@ -176,9 +164,9 @@ class HeisSimilarity:
         dilation = float(dilation)
         if dilation <= 0:
             raise ParameterError("dilation factor must be positive")
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "dilation", dilation)
+        self.rotation = rotation
+        self.translation = translation
+        self.dilation = dilation
 
     @property
     def n(self):

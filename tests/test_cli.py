@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chgeom.cli as cli
 import chgeom.core as core
@@ -512,6 +513,78 @@ def test_json_determinism_same_seed():
     _, first, _ = run_cli(args)
     _, second, _ = run_cli(args)
     assert without_timestamp(first) == without_timestamp(second)
+
+
+# --- the canonical JSON writer --------------------------------------------
+
+_KEYS = st.text(max_size=5) | st.sampled_from(
+    ['"', "%", "%s", "%%", "\\", "\x00", "\n", "\x1f", "\x7f", "é", "ü€", "\U0001d11e"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2**63, max_value=2**200).map(lambda k: k * (-1) ** k)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([float("nan"), np.inf, -np.inf, -0.0, 5e-324, 1e308])
+            | _KEYS)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@st.composite
+def _tables(draw):
+    """Dicts that share one key set, in varied key orders, among other values."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    cell = _JSON | st.lists(_SCALARS, max_size=5)  # list columns of unequal length
+    rows = [dict(draw(st.permutations(list(row.items()))))
+            for row in draw(st.lists(st.fixed_dictionaries({k: cell for k in keys}),
+                                     min_size=1, max_size=6))]
+    others = draw(st.lists(_JSON | st.dictionaries(_KEYS, cell, max_size=3), max_size=3))
+    return draw(st.permutations(rows + others))
+
+
+def _raises_or_text(render, obj):
+    try:
+        return render(obj)
+    except TypeError:
+        return TypeError
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON | _tables() | st.dictionaries(_KEYS, _tables(), max_size=2))
+def test_canonical_json_matches_json_dumps(obj):
+    assert cli._canonical_json(obj) == _dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.none() | st.booleans() | st.integers() | st.floats() | _KEYS | st.tuples(),
+    _JSON, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_canonical_json_non_str_keys_as_json_dumps(obj):
+    # json.dumps converts int, float, bool and None keys and raises
+    # TypeError on other keys or on keys it cannot sort
+    assert _raises_or_text(cli._canonical_json, obj) == _raises_or_text(_dumps, obj)
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return [line.split()[1:] for line in fh if line.startswith("chgeom --command")]
+
+
+def test_readme_lists_every_command():
+    assert sorted({argv[1] for argv in _readme_commands()}) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+def test_canonical_json_matches_json_dumps_on_readme_payloads(argv):
+    args = cli._parse_args(argv)
+    payload = cli._DISPATCH[args.command](args, cli._resolve_tol(args))
+    assert cli._canonical_json(payload) == _dumps(payload)
 
 
 def test_dirichlet_output_independent_of_blas_threads():

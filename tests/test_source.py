@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chgeom"
@@ -42,3 +45,17 @@ def test_every_private_module_name_is_used():
                 unused.append(f"{module}: {name}")
     assert unused == []
     assert len(statements) > 100  # the package was found and parsed
+
+
+def test_cli_imports_only_chgeom_beyond_numpy_json_and_argparse():
+    # each command is a fresh process and pays for every module it imports
+    code = ("import sys, numpy, json, argparse\n"
+            "before = set(sys.modules)\n"
+            "import chgeom.cli\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    extra = ast.literal_eval(run.stdout)
+    assert "chgeom.cli" in extra
+    assert [m for m in extra if m.partition(".")[0] != "chgeom"] == []

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import contextlib
+import gc
 import io
 import json
 import os
@@ -21,8 +22,11 @@ import chgeom.presets as ps
 
 def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(args)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(args)
+    finally:
+        gc.unfreeze()  # main freezes the collector for a process that then exits
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -460,6 +464,54 @@ def test_profile_budget_exhaustion_exits_5():
     assert info["type"] == "BudgetExceededError"
     assert info["completed_radius"] < 28
     assert out == ""
+
+
+_ENDING_IN = {
+    0: ["--command", "orbit", "--preset", "z2-lattice", "--depth", "3"],
+    2: ["--command", "orbit", "--preset", "z2-lattice", "--depth", "three"],
+    5: ["--command", "profile", "--preset", "fuchsian", "--depth", "28"],
+}
+
+
+@pytest.mark.parametrize("exit_code", sorted(_ENDING_IN))
+def test_main_freezes_the_collector_before_any_exit(exit_code):
+    # the collection at interpreter exit skips what import made only if the
+    # freeze comes before anything that can end the run, argparse included;
+    # importing chgeom.cli alone leaves the collector as it was
+    code = ("import contextlib, gc, io, sys\n"
+            "import chgeom.cli as cli\n"
+            "before = gc.get_freeze_count()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        rc = cli.main(sys.argv[1:])\n"
+            "    except SystemExit as e:\n"
+            "        rc = e.code\n"
+            "print(rc, before, gc.get_freeze_count() > 0)\n")
+    assert fresh_process_output(code, *_ENDING_IN[exit_code]) == f"{exit_code} 0 True"
+
+
+@pytest.mark.parametrize("exit_code, argv", [
+    (0, _ENDING_IN[0] + ["--out"]),
+    (5, _ENDING_IN[5]),
+])
+def test_console_script_process_writes_what_main_returns(exit_code, argv, tmp_path):
+    # a process that runs main as the console script does, and so exits with
+    # a frozen collector, writes the same bytes as main called in process
+    def outcome(rc, out, err, target):
+        saved = without_timestamp(target.read_text()) if target.exists() else None
+        return rc, out, err, saved
+
+    def args(target):
+        return argv + [str(target)] if argv[-1] == "--out" else argv
+
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    run = fresh_process("import sys, chgeom.cli; sys.exit(chgeom.cli.main())",
+                        *args(fresh))
+    got = outcome(run.returncode, run.stdout, run.stderr, fresh)
+    assert got == outcome(*run_cli(args(here)), here)
+    assert got[0] == exit_code
+    assert (got[3] is None) == (exit_code != 0)
 
 
 def test_format_not_available_exits_2():

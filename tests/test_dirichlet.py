@@ -174,6 +174,23 @@ class TestPullbackDomain:
                                      rays=rays)
 
 
+@pytest.mark.parametrize("radius", [3, 5])
+@pytest.mark.parametrize("u0", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("preset, model", [("cyclic-vertical", "vertical-axis"),
+                                           ("cyclic-horizontal", "horizontal-line"),
+                                           ("z2-lattice", "full-horizontal")])
+def test_slice_sides_are_sides_of_the_ball_census(preset, model, u0, radius):
+    # an independent route that owes nothing to the slice model: a bisector
+    # the slice census certifies, crossed inside the slice, also bounds the
+    # Dirichlet domain of the whole ball at the same center
+    gens = ps.group_preset(preset)
+    center = hb.horo_to_projective(hb.HoroPoint(0, 0, u0))
+    on_slice = dm.pullback_domain_sides(gens, model, u0, radius, rays=720)
+    in_ball = dm.dirichlet_side_census(gens, center, radius, rays=10_000)
+    assert on_slice.sides
+    assert set(on_slice.sides) <= set(in_ball.sides)
+
+
 # --- reference censuses: the two copies the first-exit kernel replaced ---
 # Kept verbatim with the scalar lifts they called: the tanh chord lift, the
 # per-point slice lift and the per-matrix orbit lifts, and with the march in

@@ -59,3 +59,27 @@ def test_cli_imports_only_chgeom_beyond_numpy_json_and_argparse():
     extra = ast.literal_eval(run.stdout)
     assert "chgeom.cli" in extra
     assert [m for m in extra if m.partition(".")[0] != "chgeom"] == []
+
+
+def _collector_references(tree):
+    """The nodes of a module that name the gc module."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "gc"
+            or isinstance(node, ast.alias) and node.name.partition(".")[0] == "gc"
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+            or isinstance(node, ast.Constant) and node.value == "gc"]
+
+
+def test_only_the_cli_entry_point_touches_the_collector():
+    # main freezes the collector because its process ends with the command;
+    # a library call must never change its host's collector
+    touching = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if refs := _collector_references(tree):
+            touching[path.name] = (tree, len(refs))
+    assert list(touching) == ["cli.py"]
+    tree, count = touching["cli.py"]
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert len(_collector_references(main)) == count

@@ -493,7 +493,17 @@ def _json_cells(values, indent):
         for i in lists:
             cells[i] = (f"[\n{inner}" + f",\n{inner}".join(islice(items, len(values[i])))
                         + f"\n{indent}]")
+    tables = []
     for keys, rows in groups.items():
+        if all(isinstance(key, str) for key in keys):
+            tables.append((keys, rows))
+            continue
+        # equal keys of other types can differ in text: False, 0, 0.0, -0.0
+        split = {}
+        for i in rows:
+            split.setdefault(_encode_flat(list(values[i])), []).append(i)
+        tables.extend((tuple(values[same[0]]), same) for same in split.values())
+    for keys, rows in tables:
         keys = sorted(keys)
         # the C encoder writes each key as json does, '"key": 0'
         items = _encode_flat(dict.fromkeys(keys, 0))[1:-1].replace("%", "%%")

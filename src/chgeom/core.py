@@ -79,13 +79,30 @@ def herm_inner(z, w):
     return np.sum(z[:-1] * np.conj(w[:-1])) - z[-1] * np.conj(w[-1])
 
 
+def _fold(ufunc, a):
+    """ufunc.reduce(a, axis=-1) one column at a time: numpy reduces a short
+    last axis slowly, row by row.  A single row has nothing to gain and
+    takes ufunc.reduce itself.  The columns go in sequence, so a float sum
+    may round otherwise than ufunc.reduce's pairwise order; the callers
+    fold maxima of moduli, uint64 sums (which wrap around 2^64 either way)
+    and booleans, where the order does not matter.  Maxima must be of
+    moduli: on raw entries -0.0 and +0.0 can come out either way round, and
+    a NaN may keep its payload where np.max gives the default NaN."""
+    if a.size == a.shape[-1]:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def _checked_lifts(lifts, ndim):
     lifts = np.asarray(lifts, dtype=complex)
     if lifts.ndim != ndim or lifts.shape[-1] < 2:
         raise InvalidPointError("lift must be a vector of length >= 2")
     if not np.isfinite(lifts).all():
         raise InvalidPointError("lift has non-finite entries")
-    if (np.abs(lifts).max(axis=-1) == 0.0).any():
+    if (_fold(np.maximum, np.abs(lifts)) == 0.0).any():
         raise InvalidPointError("zero lift does not define a point")
     return lifts
 
@@ -205,7 +222,7 @@ class Isometry:
 
 def _unit_rows(x):
     """Vectors on the last axis divided by their largest modulus."""
-    return x / np.abs(x).max(axis=-1, keepdims=True)
+    return x / _fold(np.maximum, np.abs(x))[..., None]
 
 
 def projective_lift_gap(a, b):
@@ -218,7 +235,8 @@ def projective_lift_gap(a, b):
     b = _unit_rows(np.asarray(b, dtype=complex))
     # 2x2 minors a_i b_j - a_j b_i vanish iff the lifts are proportional
     minors = a[..., :, None] * b[..., None, :]
-    gap = np.abs(minors - np.swapaxes(minors, -1, -2)).max(axis=(-2, -1))
+    dev = np.abs(minors - np.swapaxes(minors, -1, -2))
+    gap = _fold(np.maximum, dev.reshape(dev.shape[:-2] + (dev.shape[-1] ** 2,)))
     return float(gap) if gap.ndim == 0 else gap
 
 
@@ -254,16 +272,23 @@ def identity_gap(matrix):
     matrix; a single matrix gives a float.  The gap is max|m - lam I| /
     max|m| with lam = tr(m) / d, bit for bit; off the diagonal |m - lam I|
     is |m|, so one modulus array serves both, its diagonal overwritten.  A
-    non-finite lam gives NaN, as lam * 0 does in the formula.
+    non-finite lam gives NaN, as lam * 0 does in the formula.  The trace,
+    the diagonal and the maxima go a column at a time (see `_fold`): numpy
+    reduces the short axes of a stack of small matrices slowly, row by row.
+    The trace is summed in sequence, which is np.trace's order for d <= 3;
+    from d = 4 on np.trace sums pairwise and may round otherwise.
     """
     m = np.asarray(matrix, dtype=complex)
     d = m.shape[-1]
-    lam = np.trace(m, axis1=-2, axis2=-1) / d
-    dev = np.abs(m)
-    scale = np.max(dev, axis=(-2, -1))
-    diag = np.arange(d)
-    dev[..., diag, diag] = np.abs(m[..., diag, diag] - lam[..., None])
-    gap = np.where(np.isfinite(lam), np.max(dev, axis=(-2, -1)) / scale, np.nan)
+    lam = sum((m[..., i, i] for i in range(1, d)), m[..., 0, 0]) / d
+    # dev is a view of flat whatever m's memory layout, so the diagonal
+    # written into dev is in flat's maximum
+    flat = np.abs(m).reshape(m.shape[:-2] + (d * d,))
+    dev = flat.reshape(m.shape)
+    scale = _fold(np.maximum, flat)
+    for i in range(d):
+        dev[..., i, i] = np.abs(m[..., i, i] - lam)
+    gap = np.where(np.isfinite(lam), _fold(np.maximum, flat) / scale, np.nan)
     return float(gap) if m.ndim == 2 else gap
 
 

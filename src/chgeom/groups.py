@@ -37,6 +37,12 @@ are told apart by, and the lift gap of two points by 2 sqrt(2) 1e-9
 (1 + 1e-6), about 2.83e-9.  Items with different keys are never compared.
 The kept items are computed last.  All of this is float64, so far-out
 orbit points whose lifts agree to rounding merge though distinct.
+
+Keys are short rows (6, 9 or 18 words), and numpy reduces a short last
+axis slowly, row by row.  So their maxima, hash sums and equality tests
+go a column at a time (`core._fold`), with operations that give the
+axis reductions' results exactly: maxima of moduli, sums that wrap around
+2^64, and word equality.
 """
 
 from collections import namedtuple
@@ -206,7 +212,7 @@ def _canonical_rows(items, digits=9):
     """
     flat = items.reshape(len(items), -1)
     mag = np.abs(flat)
-    whisker = np.max(mag, axis=1)
+    whisker = core._fold(np.maximum, mag)
     whisker *= 1.0 - 1e-6
     pivot = np.argmax(mag >= whisker[:, None], axis=1)
     canon = (flat / flat[np.arange(len(flat)), pivot][:, None]).view(float)
@@ -231,7 +237,7 @@ def _key_hash(words):
     mixed ^= mixed >> 32
     mixed *= _MIX[2]
     mixed ^= mixed >> 29
-    return mixed.sum(axis=1, dtype=np.uint64)
+    return core._fold(np.add, mixed)
 
 
 def _byte_rows(words):
@@ -305,7 +311,7 @@ class _FirstKept:
             if np.any(earlier):
                 y[earlier] = self._rows(r[earlier])
             y[~earlier] = items[~r[~earlier]]
-            equal[c] = np.all(self._words(x) == self._words(y), axis=1)
+            equal[c] = core._fold(np.logical_and, self._words(x) == self._words(y))
         return equal
 
     def _insert(self, hashes, rows):

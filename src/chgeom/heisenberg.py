@@ -296,10 +296,10 @@ def _lift_coords(lifts, tol):
     """
     k = lifts.shape[-1] - 2
     c = lifts[:, k] + lifts[:, k + 1]
-    finite = np.abs(c) > tol * np.abs(lifts).max(axis=-1)
+    finite = np.abs(c) > tol * core._fold(np.maximum, np.abs(lifts))
     z = lifts[finite] / c[finite, None]
     u = -core._form_norms(z)
-    floor = -1e-9 * np.maximum(1.0, np.abs(z).max(axis=-1) ** 2)
+    floor = -1e-9 * np.maximum(1.0, core._fold(np.maximum, np.abs(z)) ** 2)
     u[(floor < u) & (u < 0.0)] = 0.0
     return finite, z[:, :k], (z[:, k] - z[:, k + 1]).imag, u
 

@@ -289,36 +289,98 @@ def ref_identity_gap(matrix):
     return float(gap) if m.ndim == 2 else gap
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 30.0),
+       st.integers(2, 9), st.sampled_from(["C", "T", "F"]))
 @settings(max_examples=50, deadline=None)
-def test_identity_gap_batch_matches_scalar(seed, k, max_log_scale):
-    # near-scalar matrices, each row of the stack at its own norm up to 1e30
+def test_identity_gap_batch_matches_scalar(seed, k, max_log_scale, d, layout):
+    # near-scalar d x d matrices, each row of the stack at its own norm up
+    # to 1e30, in C order, transposed or in Fortran order; the trace and the
+    # diagonal are unrolled over d
     rng = np.random.default_rng(seed)
     lam = rng.normal(size=(k, 1, 1)) + 1j * rng.normal(size=(k, 1, 1))
-    noise = rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3))
+    noise = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
     eps = 10.0 ** rng.uniform(-15, 0, size=(k, 1, 1))
     scale = 10.0 ** rng.uniform(0, max_log_scale, size=(k, 1, 1))
-    stack = scale * (lam * np.eye(3) + eps * noise)
+    stack = scale * (lam * np.eye(d) + eps * noise)
+    stack = {"C": stack, "T": stack.swapaxes(-1, -2),
+             "F": np.asfortranarray(stack)}[layout]
     gaps = core.identity_gap(stack)
     assert gaps.shape == (k,)
     assert np.array_equal(gaps, [core.identity_gap(m) for m in stack])
-    assert gaps.tobytes() == ref_identity_gap(stack).tobytes()
+    want = ref_identity_gap(stack)
+    if d <= 3:
+        # the trace is summed in sequence, np.trace's own order for d <= 3
+        assert gaps.tobytes() == want.tobytes()
+    else:
+        # np.trace sums pairwise from d = 4 on: lam may move by about
+        # 2 (d - 1) ulps of max|m|, and the gap by as much
+        assert np.all(np.abs(gaps - want) <= 2 * d * np.finfo(float).eps)
+
+
+def test_identity_gap_reads_any_memory_layout():
+    # the transpose of a C-ordered matrix is Fortran-ordered, and so is its
+    # modulus array; the overwritten diagonal must still reach the maximum
+    eye = np.eye(3, dtype=complex)
+    assert core.identity_gap(eye.T) == 0.0
+    assert core.identity_gap(np.stack([eye, 2 * eye]).swapaxes(-1, -2)).tolist() == [0.0, 0.0]
+    assert core.classify_isometry(core.Isometry(eye.T)) == "identity"
 
 
 def test_identity_gap_matches_reference_off_the_finite_range():
-    # a trace that overflows, and NaN or inf on and off the diagonal
-    big = np.diag([1e308, 1e308, 1e308 + 0j])
-    stack = np.stack([big, big * 1j, np.eye(3) * 2.0, np.eye(3) * 2.0,
-                      np.eye(3) * 2.0, np.eye(3) * 2.0, np.zeros((3, 3))])
-    stack[2, 0, 1] = np.nan
-    stack[3, 1, 1] = np.nan
-    stack[4, 0, 2] = np.inf
-    stack[5, 2, 2] = complex(np.inf, 1.0)
-    with np.errstate(all="ignore"):
-        gaps = core.identity_gap(stack)
-        want = ref_identity_gap(stack)
-    assert gaps.tobytes() == want.tobytes()
-    assert np.all(np.isnan(gaps[:6]))
+    # a trace that overflows, and NaN or inf on and off the diagonal, as a
+    # stack and one matrix at a time
+    for d in (2, 3, 4):
+        big = np.diag(np.full(d, 1e308 + 0j))
+        two = np.eye(d) * 2.0
+        stack = np.stack([big, big * 1j, two, two, two, two, np.zeros((d, d))])
+        stack[2, 0, d - 1] = np.nan
+        stack[3, 1, 1] = np.nan
+        stack[4, d - 1, 0] = np.inf
+        stack[5, d - 1, d - 1] = complex(np.inf, 1.0)
+        with np.errstate(all="ignore"):
+            gaps = core.identity_gap(stack)
+            want = ref_identity_gap(stack)
+            singles = [core.identity_gap(m) for m in stack]
+            single_want = [ref_identity_gap(m) for m in stack]
+        assert gaps.tobytes() == want.tobytes()
+        assert all(type(g) is float for g in singles)
+        assert np.array(singles).tobytes() == np.array(single_want).tobytes()
+        assert np.all(np.isnan(gaps[:6]))
+        assert core.identity_gap(stack[:0]).shape == (0,)
+        with np.errstate(all="ignore"):
+            flipped = stack.swapaxes(-1, -2)
+            assert core.identity_gap(flipped).tobytes() == ref_identity_gap(flipped).tobytes()
+
+
+@st.composite
+def moduli_stacks(draw):
+    width = draw(st.integers(1, 18))
+    lead = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 6)),
+                          st.tuples(st.integers(0, 4), st.integers(0, 4))))
+    size = int(np.prod(lead, dtype=int)) * width
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                               -5e-324, 2.2250738585072014e-308, 1e308])
+    values = draw(st.lists(st.one_of(st.floats(), special),
+                           min_size=size, max_size=size))
+    return np.abs(np.array(values, dtype=float).reshape(lead + (width,)))
+
+
+@given(moduli_stacks())
+@settings(max_examples=300, deadline=None)
+def test_fold_maximum_matches_np_max(a):
+    # _fold(np.maximum, ...) takes moduli only: on raw entries a -0.0 and a
+    # +0.0 come out either way round, and np.max gives its default NaN for
+    # any NaN, where the fold may keep a NaN's payload.  With NaNs at their
+    # default bits the two agree bit for bit, signed and unsigned zeros
+    # included.
+    got, want = np.asarray(core._fold(np.maximum, a)), np.asarray(np.max(a, axis=-1))
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    a = np.where(np.isnan(a), np.nan, a)
+    got = np.asarray(core._fold(np.maximum, a))
+    assert got.tobytes() == np.asarray(np.max(a, axis=-1)).tobytes()
 
 
 @pytest.mark.parametrize("eta", [-0.35, 0.0, 0.2])

@@ -745,6 +745,59 @@ def test_canonical_rows_match_reference(preset, depth):
             assert same_bits(gr._canonical_rows(items), ref_canonical_rows(items))
 
 
+def ref_key_hash(words):
+    """_key_hash as it was before it summed a column at a time."""
+    mixed = words + np.arange(words.shape[1], dtype=np.uint64) * gr._MIX[0]
+    mixed *= gr._MIX[1]
+    mixed ^= mixed >> 32
+    mixed *= gr._MIX[2]
+    mixed ^= mixed >> 29
+    return mixed.sum(axis=1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("width", [6, 9, 18])
+def test_key_hash_matches_reference(width):
+    # the words of lift keys, real matrix keys and complex matrix keys; the
+    # column sums wrap around 2^64 as the axis sum does
+    rng = np.random.default_rng(width)
+    words = rng.integers(0, 2**64, size=(5000, width), dtype=np.uint64)
+    words[:2] = [[0], [2**64 - 1]]
+    assert same_bits(gr._key_hash(words), ref_key_hash(words))
+
+
+@pytest.mark.parametrize("width", [6, 9, 18])
+def test_confirm_compares_key_words(width):
+    # keys whose entries are NaNs with payloads, -0.0 and +0.0: a key
+    # equals its representative's exactly when all its uint64 words do, as
+    # np.all(x == y, axis=1) says, so -0.0 and +0.0 differ and a NaN equals
+    # only its own bits
+    rng = np.random.default_rng(width)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000ABC,
+                     0x7FF0000000000001], dtype=np.uint64).view(float)
+    values = np.concatenate([nans, [0.0, -0.0, 1.0, -1.0]])
+    seen = gr._FirstKept(lambda items: items)
+    empty = (np.arange(40), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+    kept = seen.commit(rng.choice(values, size=(40, width)), empty)
+    n = 3000  # more than one chunk
+    rep = np.where(rng.random(n) < 0.5, rng.integers(0, 40, n), ~rng.integers(0, n, n))
+    items = rng.choice(values, size=(n, width))
+    # half the items copy their representative, some then with one entry
+    # flipped between -0.0 and +0.0 or between two NaNs
+    copied = np.flatnonzero(rng.random(n) < 0.5)
+    items[copied] = np.where(rep[copied, None] >= 0, kept[np.maximum(rep[copied], 0)],
+                             items[~np.minimum(rep[copied], -1)])
+    flip = copied[rng.random(len(copied)) < 0.3]
+    col = rng.integers(0, width, len(flip))
+    items[flip, col] = rng.choice([0.0, -0.0, nans[0], nans[1]], len(flip))
+    at = rng.permutation(n)[: n - 100]
+    x = items[at].view(np.uint64)
+    y = np.where(rep[at, None] >= 0, kept[np.maximum(rep[at], 0)],
+                 items[~np.minimum(rep[at], -1)]).view(np.uint64)
+    want = np.all(x == y, axis=1)
+    assert 0.2 * len(at) < np.count_nonzero(want) < 0.8 * len(at)
+    assert same_bits(seen._confirm(items, at, rep.astype(np.int32)), want)
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_equal_matrix_keys_bound_the_matrix_gap(seed, real):

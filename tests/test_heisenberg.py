@@ -300,6 +300,78 @@ def test_far_boundary_images_read_height_zero():
     assert np.all(heights[raw >= 0] == raw[raw >= 0])
 
 
+def ref_lift_coords(lifts, tol):
+    """_lift_coords as it was before it took maxima a column at a time."""
+    k = lifts.shape[-1] - 2
+    c = lifts[:, k] + lifts[:, k + 1]
+    finite = np.abs(c) > tol * np.abs(lifts).max(axis=-1)
+    z = lifts[finite] / c[finite, None]
+    u = -core._form_norms(z)
+    floor = -1e-9 * np.maximum(1.0, np.abs(z).max(axis=-1) ** 2)
+    u[(floor < u) & (u < 0.0)] = 0.0
+    return finite, z[:, :k], (z[:, k] - z[:, k + 1]).imag, u
+
+
+def ref_projective_lift_gap(a, b):
+    """projective_lift_gap as it was before it took maxima a column at a time."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    a = a / np.abs(a).max(axis=-1, keepdims=True)
+    b = b / np.abs(b).max(axis=-1, keepdims=True)
+    minors = a[..., :, None] * b[..., None, :]
+    gap = np.abs(minors - np.swapaxes(minors, -1, -2)).max(axis=(-2, -1))
+    return float(gap) if gap.ndim == 0 else gap
+
+
+def far_lift_stack(rng, count, n):
+    """Lifts of horospherical points: heights above 0, at 0 and just below
+    it, and rows at infinity (c = 0) and near it, every row at its own
+    scale and phase, with entries up to 1e150."""
+    xi = (rng.normal(size=(count, n - 1)) + 1j * rng.normal(size=(count, n - 1))) \
+        * 10.0 ** rng.uniform(-3, 6, size=(count, 1))
+    q = (np.abs(xi) ** 2).sum(axis=1)
+    # the floor that reads a height as 0 is -1e-9 max(1, max|z_i|^2)
+    floor = 1e-9 * np.maximum(1.0, (0.5 * (1.0 + q)) ** 2)
+    u = np.choose(rng.integers(0, 5, count),
+                  [np.exp(rng.normal(size=count)), np.zeros(count),
+                   -0.5 * floor, -0.99 * floor, -2.0 * floor])
+    lifts = hb._horo_lifts(xi, rng.normal(size=count), u)
+    lifts[::7, n - 1] = -lifts[::7, n]  # at infinity
+    lifts[3::11, n - 1] = -lifts[3::11, n] * (1 + 1e-11)  # between the tols
+    lifts /= np.abs(lifts).max(axis=1)[:, None]
+    return lifts * 10.0 ** rng.uniform(-5, 150, size=(count, 1)) \
+        * np.exp(2j * np.pi * rng.uniform(size=(count, 1)))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lift_coords_match_reference(n):
+    rng = np.random.default_rng(n)
+    lifts = far_lift_stack(rng, 3000, n)
+    for tol in (1e-12, 1e-9):
+        got, want = hb._lift_coords(lifts, tol), ref_lift_coords(lifts, tol)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
+    finite, _, _, u = got
+    assert 0 < np.count_nonzero(~finite) < len(lifts)
+    assert np.count_nonzero(u == 0.0) > len(lifts) / 5
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_projective_lift_gap_matches_reference(n):
+    rng = np.random.default_rng(10 + n)
+    lifts = far_lift_stack(rng, 1000, n)
+    infinity = core.infinity_point(n).lift
+    for a, b in [(lifts, infinity), (lifts, lifts[::-1]),
+                 (lifts[:40, None], lifts[None, :30]), (lifts[0], lifts[1]),
+                 (lifts[:0], infinity)]:
+        assert same_bits(core.projective_lift_gap(a, b), ref_projective_lift_gap(a, b))
+    assert type(core.projective_lift_gap(lifts[0], lifts[1])) is float
+
+
 def test_projective_to_horo_infinity():
     with pytest.raises(PointAtInfinityError):
         hb.projective_to_horo(core.infinity_point(2))

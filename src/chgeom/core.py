@@ -84,10 +84,12 @@ def _fold(ufunc, a):
     last axis slowly, row by row.  A single row has nothing to gain and
     takes ufunc.reduce itself.  The columns go in sequence, so a float sum
     may round otherwise than ufunc.reduce's pairwise order; the callers
-    fold maxima of moduli, uint64 sums (which wrap around 2^64 either way)
-    and booleans, where the order does not matter.  Maxima must be of
-    moduli: on raw entries -0.0 and +0.0 can come out either way round, and
-    a NaN may keep its payload where np.max gives the default NaN."""
+    fold maxima of moduli, uint64 sums (which wrap around 2^64 either way),
+    booleans, and the census's roots and distances, which hold no NaN and
+    whose zeros' signs it never reads, where the order does not matter.
+    Otherwise maxima must be of moduli: on raw entries -0.0 and +0.0 can
+    come out either way round, and a NaN may keep its payload where np.max
+    gives the default NaN."""
     if a.size == a.shape[-1]:
         return ufunc.reduce(a, axis=-1)
     out = a[..., 0].copy()

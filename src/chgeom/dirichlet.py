@@ -37,6 +37,17 @@ D(1/s) s^3 / D(0) = s^3 + k1 s^2 + k2 s + k3, and the exit is at t = 1/s for
 the largest root s > 0 over the orbit where the cubic changes sign: by
 Cardano's formula for one real root, the cosine formula for three.
 
+The ball exits and the certification that both censuses share visit the
+orbit images nearest the center c first, in blocks that make about
+_EXIT_CELLS ray-image pairs with the rays still active, and drop a ray once
+no image left can change its answer.  By the triangle inequality an image
+g c beats no point within d(c, g c) / 2 of c, and lies at least
+d(c, g c) - s from a point at distance s: so a ray is done once its exit is
+short of half the next image's reach, and a witness at s once that reach,
+less s, exceeds its runner-up's distance, each less the rounding allowance
+_SLACK.  Where the bounds hold as rounded (see _SLACK), the answers are
+the full scan's bit for bit.
+
 The census is a lower-bound certificate over the enumerated ball, never a
 completeness claim.
 """
@@ -58,7 +69,15 @@ from .errors import (
 
 DEFAULT_RAYS = 2000
 SIDE_MARGIN = 1e-6
-_EXIT_CELLS = 1 << 16  # ray-orbit pairs per chunk, to bound temporaries
+_EXIT_CELLS = 1 << 16  # ray-image pairs per tile, to bound temporaries
+_LANES = 4  # image columns per BLAS zgemm micro-kernel (OpenBLAS, x86-64)
+# Rounding allowance on the triangle-inequality bounds.  As rounded, the
+# bounds hold to 1.1e-16 over the tested censuses (on dilation's nearest
+# images, where a root and its image's reach tie exactly); 1e-9 leaves
+# seven orders of magnitude and prunes as well.  Far out, a root or a
+# distance rounds by about eps e^s (ROADMAP item 3), past the allowance
+# from s ~ 15 on, where the full scan's answer is rounding noise too.
+_SLACK = 1e-9
 
 
 class SideCensus(NamedTuple):
@@ -163,34 +182,118 @@ def _census_orbit(gens, enum_radius, budget):
 
 
 def _horizon(spell, base_lift, orbit_lifts, norm):
-    """Distance past which a ray is unbounded; rejects a fixed center."""
-    base_d = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
-    if np.min(base_d) <= 1e-10:
-        w = spell([np.argmin(base_d)])[0]
+    """reach, each image's distance from the base point, and the distance
+    past which a ray is unbounded; rejects a fixed center."""
+    reach = core._bergman_distances(base_lift[None, :], orbit_lifts, norm)[0]
+    if np.min(reach) <= 1e-10:
+        w = spell([np.argmin(reach)])[0]
         raise DegenerateCenterError(f"center is fixed by the nontrivial element {w!r}")
-    return float(np.max(base_d)) / 2.0 + 4.0
+    return reach, float(np.max(reach)) / 2.0 + 4.0
 
 
-def _certify(spell, witness, orbit_lifts, norm, witness_norm, nrays, margin,
-             enum_radius):
-    """SideCensus from the witnesses' Bergman distances to the orbit, taken
-    _EXIT_CELLS distances at a time: each witness keeps only its nearest
-    image and its margin over the runner-up, and a side keeps its least
-    margin.  witness_norm is the form norm of every witness lift, or None
-    to compute each."""
+def _nearest_first(reach, count, dtypes, tile, done):
+    """Evaluate `count` rows against the orbit images, nearest to the
+    center first: tile(rows, cols, *bufs) takes the images cols, in index
+    order, with one (len(rows), len(cols)) buffer of each dtype, and a row
+    drops out at a block's end once done(rows, d) says that no image at
+    distance d or more from the center can change it.
+
+    A block holds about _EXIT_CELLS // (active rows) images, so a tile
+    holds about _EXIT_CELLS cells, or count * len(reach) for small orbits,
+    and the buffers are reused from tile to tile.  BLAS rounds an image's
+    products by the column's place in its product: the micro-kernel takes
+    _LANES image columns at a time and an edge kernel the last k % _LANES,
+    and a product of one row or one column is a gemv.  So every block is
+    whole micro-kernel columns, the last k % _LANES images close the first
+    block, and a lone row is doubled: then each product rounds as the one
+    product over the whole orbit did.
+    """
+    k = len(reach)
+    cut = k - k % _LANES
+    order = np.argsort(reach[:cut], kind="stable")
+    cells = min(_EXIT_CELLS, count * k)
+    # a tile has at most cells, or two rows of at most cells // 2 +
+    # 2 _LANES columns
+    bufs = [np.empty(cells + 4 * _LANES, dtype=t) for t in dtypes]
+    active = np.arange(count)
+    lo = 0
+    while active.size:
+        width = cells // max(2, active.size) // _LANES * _LANES
+        hi = min(lo + max(_LANES, width), cut)
+        cols = np.sort(order[lo:hi] if lo else
+                       np.append(order[:hi], np.arange(cut, k)))
+        per = max(2, cells // len(cols))
+        for r in range(0, active.size, per):
+            rows = active[r : r + per]
+            rows = rows if len(rows) > 1 else rows.repeat(2)
+            size = len(rows) * len(cols)
+            tile(rows, cols,
+                 *(b[:size].reshape(len(rows), len(cols)) for b in bufs))
+        if hi == cut:
+            return
+        lo = hi
+        active = active[~done(active, reach[order[lo]])]
+
+
+def _certify(spell, witness, s, orbit_lifts, reach, norm, witness_norm,
+             nrays, margin, enum_radius):
+    """SideCensus from the witnesses' Bergman distances to the orbit: each
+    witness keeps only its nearest image, the first in index order among
+    equals, and its margin over the runner-up, and a side keeps its least
+    margin.  s is each witness's distance from the center, reach each
+    image's, and witness_norm the form norm of every witness lift, or None
+    to compute each.
+
+    The images go nearest the center first (_nearest_first).  By the
+    triangle inequality an image at reach r is at least r - s from a
+    witness at s, so a witness is done once the next image's reach, less
+    s and _SLACK, exceeds its runner-up's distance: no image left can come
+    nearer than the runner-up, or tie it.
+    """
+    j = np.ones(witness.shape[1])
+    j[-1] = -1.0
+    lifts = witness * j
+    others = np.conj(orbit_lifts).T
+    nl = (core._form_norms(witness) if witness_norm is None
+          else np.full(len(witness), witness_norm))
+    scale = (nl * norm)[:, None]
+    best = np.full(len(witness), len(orbit_lifts))
+    first = np.full(len(witness), np.inf)
+    second = np.full(len(witness), np.inf)
+
+    def tile(rows, cols, inner, dist):
+        # core._bergman_distances, operation for operation
+        np.matmul(lifts[rows], others[:, cols], out=inner)
+        np.abs(inner, out=dist)
+        np.square(dist, out=dist)
+        np.divide(dist, scale[rows], out=dist)
+        np.maximum(dist, 1.0, out=dist)
+        np.sqrt(dist, out=dist)
+        np.arccosh(dist, out=dist)
+        np.multiply(dist, 2.0, out=dist)
+        # the least two distances so far, equal ones counted twice as
+        # np.partition does, and the nearest image, the first in index
+        # order among equals as np.argmin takes it
+        at = np.argmin(dist, axis=1)
+        lane = np.arange(len(rows))
+        near = dist[lane, at]
+        dist[lane, at] = np.inf
+        runner = core._fold(np.minimum, dist)
+        was, at = first[rows], cols[at]
+        second[rows] = np.minimum(np.maximum(was, near),
+                                  np.minimum(second[rows], runner))
+        won = (near < was) | ((near == was) & (at < best[rows]))
+        first[rows] = np.where(won, near, was)
+        best[rows] = np.where(won, at, best[rows])
+
+    _nearest_first(reach, len(witness), (complex, float), tile,
+                   lambda rows, d: d - s[rows] - _SLACK > second[rows])
+    m = second - first
+    keep = m >= margin
     least = np.full(len(orbit_lifts), np.inf)
     side = np.zeros(len(orbit_lifts), dtype=bool)
-    chunk = max(1, _EXIT_CELLS // len(orbit_lifts))
-    for lo in range(0, len(witness), chunk):
-        dist = core._bergman_distances(witness[lo : lo + chunk], orbit_lifts,
-                                       norm, witness_norm)
-        best = np.argmin(dist, axis=1)
-        second = (np.partition(dist, 1, axis=1)[:, 1] if dist.shape[1] > 1
-                  else np.inf)
-        m = second - dist[np.arange(len(best)), best]
-        keep = m >= margin
-        np.minimum.at(least, best[keep], m[keep])
-        side[best[keep]] = True
+    np.minimum.at(least, best[keep], m[keep])
+    side[best[keep]] = True
     g = np.flatnonzero(side).tolist()
     sides = dict(zip(spell(g), least[g].tolist()))
     side_words = tuple(sorted(sides))
@@ -203,35 +306,59 @@ def _certify(spell, witness, orbit_lifts, norm, witness_norm, nrays, margin,
     )
 
 
-def _ball_exits(dirs, orbit_lifts, norm):
+def _ball_exits(dirs, orbit_lifts, norm, reach):
     """Distance from the center, at the ball origin, to each ray's first exit:
-    the module docstring's f(q) over the orbit lifts (inf if no root)."""
+    the module docstring's f(q) over the orbit lifts (inf if no root).
+
+    The images go nearest the center first (_nearest_first).  By the
+    triangle inequality an image at reach r beats no point of a ray short
+    of r / 2, so its root is at most e^-(r / 2), and a ray is done once
+    its largest root so far reaches e^-(d / 2 - _SLACK) for the next
+    image's reach d.
+    """
     n = orbit_lifts.shape[1] - 1
     last = orbit_lifts[:, -1]
     zbar = np.conj(orbit_lifts[:, :-1] / last[:, None]).T
     eps = -norm / (last.real ** 2 + last.imag ** 2)
     u = dirs[:, :n] + 1j * dirs[:, n:]
-    q = np.empty(dirs.shape[0])
-    chunk = max(1, _EXIT_CELLS // len(orbit_lifts))
-    for lo in range(0, dirs.shape[0], chunk):
-        rho = u[lo : lo + chunk] @ zbar
+    q = np.zeros(dirs.shape[0])
+
+    def tile(rows, cols, rho, y2, h, p, c, t, crossing):
+        # in place, each pair's operations in one fixed order, so a root's
+        # bits do not depend on the tile it falls in
+        np.matmul(u[rows], zbar[:, cols], out=rho)
+        e = eps[cols]
         x = rho.real
-        y2 = rho.imag ** 2
+        np.square(rho.imag, out=y2)
         # f = a q^2 - 2 b q + c has b^2 - a c = 4 h^2 for
         # h^2 = eps |rho|^2 - Im(rho)^2, and changes sign only where h^2 > 0
-        h = (x * x + y2) * eps - y2
-        crossing = h > 0.0
+        np.multiply(x, x, out=h)
+        h += y2
+        h *= e
+        h -= y2
+        np.greater(h, 0.0, out=crossing)
         np.sqrt(h, out=h, where=crossing)
-        p = x - 1.0
-        c = p * p + y2 - eps
+        np.subtract(x, 1.0, out=p)
+        np.multiply(p, p, out=c)
+        c += y2
+        c -= e
         # b = |rho|^2 - |z|^2 <= 0 (Cauchy-Schwarz), so t = b - 2 h does not
         # cancel, and c / t is the root largest below 1 whatever the sign of a
-        t = p * (x + 1.0) + y2 + eps - 2.0 * h
+        np.add(x, 1.0, out=t)
+        t *= p
+        t += y2
+        t += e
+        h *= 2.0
+        t -= h
         with np.errstate(divide="ignore", invalid="ignore"):
-            root = c / t
+            np.divide(c, t, out=c)
         # rounding alone can put a root at or above 1
-        root[~crossing | ~(root < 1.0)] = 0.0
-        q[lo : lo + chunk] = np.max(root, axis=1, initial=0.0)
+        crossing &= c < 1.0
+        np.copyto(c, 0.0, where=~crossing)
+        q[rows] = np.maximum(q[rows], core._fold(np.maximum, c))
+
+    _nearest_first(reach, len(u), (complex,) + (float,) * 5 + (bool,), tile,
+                   lambda rows, d: q[rows] >= math.exp(_SLACK - d / 2.0))
     with np.errstate(divide="ignore"):
         return -np.log(q)
 
@@ -295,6 +422,8 @@ def dirichlet_side_census(
     """
     if rays < 100:
         raise ParameterError("need at least 100 rays")
+    if seed < 0:
+        raise ParameterError("seed must be nonnegative")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
     spell, mats = _census_orbit(gens, enum_radius, budget)
@@ -307,13 +436,13 @@ def dirichlet_side_census(
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
     origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
     origin[-1] = 1.0
-    horizon = _horizon(spell, origin, orbit_lifts, cnorm)
+    reach, horizon = _horizon(spell, origin, orbit_lifts, cnorm)
     dirs = _ray_directions(rays, 2 * (orbit_lifts.shape[1] - 1), seed=seed)
-    s = _ball_exits(dirs, orbit_lifts, cnorm)
+    s = _ball_exits(dirs, orbit_lifts, cnorm, reach)
     crossed = s < horizon
     witness = _chord_lifts(dirs[crossed], s[crossed])  # of form norm -1
-    return _certify(spell, witness, orbit_lifts, cnorm, -1.0, rays, margin,
-                    enum_radius)
+    return _certify(spell, witness, s[crossed], orbit_lifts, reach, cnorm,
+                    -1.0, rays, margin, enum_radius)
 
 
 def parabolic_projection(p, model, u0):
@@ -418,7 +547,7 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
     ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift
     ynorm = float(core.herm_inner(ylift, ylift).real)
     orbit_lifts = (mats.reshape(-1, n + 1) @ ylift).reshape(-1, n + 1)
-    horizon = _horizon(spell, ylift, orbit_lifts, ynorm)
+    reach, horizon = _horizon(spell, ylift, orbit_lifts, ynorm)
 
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -435,6 +564,7 @@ def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
                      (ahead + behind) / 2.0 - ylift)
     crossed = np.isfinite(t)
     witness = lifts(t[crossed, None] * dirs[crossed])
-    near = core._bergman_distances(witness, ylift[None, :], ynorm)[:, 0] <= horizon
-    return _certify(spell, witness[near], orbit_lifts, ynorm, None, len(dirs),
-                    margin, enum_radius)
+    s = core._bergman_distances(witness, ylift[None, :], ynorm)[:, 0]
+    near = s <= horizon
+    return _certify(spell, witness[near], s[near], orbit_lifts, reach, ynorm,
+                    None, len(dirs), margin, enum_radius)

@@ -651,6 +651,8 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
     """
     if depth < 1:
         raise ParameterError("depth must be >= 1")
+    if not len(seeds):
+        raise ParameterError("need at least one seed")
     levels, _ = element_ball(gens, depth, budget)
     if depth >= len(levels):
         raise DegenerateInputError("no reduced words at the requested depth")
@@ -687,6 +689,8 @@ def boxdim_estimate(cloud, scales):
     if len(v) < 1000:
         raise ParameterError("need at least 1000 points")
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
+    if not np.all((scales > 0.0) & (scales < np.inf)):
+        raise ParameterError("scales must be finite and positive")
     if len(scales) < 4 or scales[0] / scales[-1] < 10.0:
         raise ParameterError("need >= 4 scales spanning at least a decade")
 

@@ -173,6 +173,17 @@ class TestPullbackDomain:
             dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3,
                                      rays=rays)
 
+    def test_negative_seed_rejected_before_enumerating(self, monkeypatch):
+        # _halton's digits of a negative seed stay at -1 under floor
+        # division, so its loop never ended
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
+        with pytest.raises(ParameterError, match="^seed must be nonnegative$"):
+            dm.dirichlet_side_census(z2_lattice(), cli._ball_origin(3), 3,
+                                     seed=-1)
+
 
 @pytest.mark.parametrize("radius", [3, 5])
 @pytest.mark.parametrize("u0", [0.5, 1.0, 2.0])
@@ -777,8 +788,7 @@ def ref_ball_census(gens, center, radius, rays=dm.DEFAULT_RAYS, seed=0):
 def test_ball_kernel_matches_arccosh_reference_bit_for_bit(preset, where, radius, rays):
     # the name predates the closed-form exits: margins now agree to 2e-9
     gens = ps.group_preset(preset)
-    center = {"origin": cli._ball_origin(gens.dim), "slab": slab_center(),
-              "scaled": scaled_center()}[where]
+    center = _kernel_center(gens, where)
     got = dm.dirichlet_side_census(gens, center, radius, rays=rays)
     _same_census_up_to_bisection(got, ref_ball_census(gens, center, radius, rays))
 
@@ -801,11 +811,126 @@ def test_schottky_census_at_r5_stays_unbounded():
     assert census.sides == ()
 
 
+# --- reference exits: the full-matrix kernel the nearest-first one replaced ---
+# Kept as it was: every ray against every image, _EXIT_CELLS ray-image
+# pairs at a time.  _ball_exits visits the images nearest first and drops a
+# ray once no image left can beat its exit, with the same operations on
+# each ray-image pair, so the two must agree bit for bit.
+
+
+def ref_exit_roots(dirs, orbit_lifts, norm):
+    """Largest root below 1 of f for each ray and image (0 if none)."""
+    n = orbit_lifts.shape[1] - 1
+    last = orbit_lifts[:, -1]
+    zbar = np.conj(orbit_lifts[:, :-1] / last[:, None]).T
+    eps = -norm / (last.real ** 2 + last.imag ** 2)
+    rho = (dirs[:, :n] + 1j * dirs[:, n:]) @ zbar
+    x = rho.real
+    y2 = rho.imag ** 2
+    h = (x * x + y2) * eps - y2
+    crossing = h > 0.0
+    np.sqrt(h, out=h, where=crossing)
+    p = x - 1.0
+    c = p * p + y2 - eps
+    t = p * (x + 1.0) + y2 + eps - 2.0 * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = c / t
+    root[~crossing | ~(root < 1.0)] = 0.0
+    return root
+
+
+def ref_ball_exits(dirs, orbit_lifts, norm):
+    chunk = max(1, dm._EXIT_CELLS // len(orbit_lifts))
+    q = np.concatenate([
+        np.max(ref_exit_roots(dirs[lo : lo + chunk], orbit_lifts, norm),
+               axis=1, initial=0.0)
+        for lo in range(0, dirs.shape[0], chunk)])
+    with np.errstate(divide="ignore"):
+        return -np.log(q)
+
+
+def _kernel_center(gens, where):
+    return {"origin": cli._ball_origin(gens.dim), "slab": slab_center(),
+            "scaled": scaled_center()}[where]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("preset,where,radius,rays", KERNEL_BALL_CASES + [
+    ("z2-lattice", "origin", 10, 10000),
+    ("cyclic-vertical", "origin", 5, 2000)])  # 10 images: a BLAS edge tile
+def test_nearest_first_exits_equal_the_full_matrix_bit_for_bit(
+        preset, where, radius, rays, seed):
+    center = _kernel_center(ps.group_preset(preset), where)
+    _, orbit, norm, reach = _ball_orbit(preset, radius, center)
+    dirs = dm._ray_directions(rays, 4, seed=seed)
+    got = dm._ball_exits(dirs, orbit, norm, reach)
+    assert got.tobytes() == ref_ball_exits(dirs, orbit, norm).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("preset,radius,rays", [
+    ("z2-lattice", 6, 2000), ("z2-lattice", 10, 10000),
+    ("cyclic-vertical", 6, 2000), ("dilation", 6, 2000),
+    ("schottky-file", 3, 2000), ("schottky-file", 4, 2000)])
+def test_triangle_inequality_bounds_hold_within_the_slack(tmp_path, preset,
+                                                          radius, rays, seed):
+    # the bounds the kernels drop images on, as rounded: an image at reach r
+    # from the center has no root of f short of s = r / 2, and lies at least
+    # r - s from a witness at s, each less dm._SLACK.  The worst excess over
+    # these cases is 1.1e-16, on dilation's nearest images
+    gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
+            else ps.group_preset(preset))
+    spell, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    origin = cli._ball_origin(gens.dim).lift
+    orbit = mats @ origin
+    reach, horizon = dm._horizon(spell, origin, orbit, -1.0)
+    dirs = dm._ray_directions(rays, 4, seed=seed)
+    for lo in range(0, rays, 1000):
+        roots = ref_exit_roots(dirs[lo : lo + 1000], orbit, -1.0)
+        with np.errstate(divide="ignore"):
+            s = -np.log(np.maximum(roots, 0.0))
+        assert np.all(reach / 2.0 - s <= dm._SLACK)
+    s = dm._ball_exits(dirs, orbit, -1.0, reach)
+    crossed = s < horizon
+    witness = dm._chord_lifts(dirs[crossed], s[crossed])
+    dist = core._bergman_distances(witness, orbit, -1.0, -1.0)
+    assert np.all(reach - s[crossed, None] - dist <= dm._SLACK)
+
+
+def test_a_ray_left_alone_rounds_as_in_the_full_product():
+    # a product of one row is a gemv, which rounds otherwise than the
+    # blocked kernel: alone, some rays get another largest root.  After 9999
+    # copies of the ray that exits first, which fill more than one block,
+    # each of them is left alone after the first block, and must still get
+    # the full product's exit
+    _, orbit, norm, reach = _ball_orbit("z2-lattice", 10, cli._ball_origin(3))
+    dirs = dm._ray_directions(2000, 4, seed=0)
+    full = np.max(ref_exit_roots(dirs, orbit, norm), axis=1)
+    first = int(np.argmax(full))
+    for i in range(len(dirs)):
+        if np.max(ref_exit_roots(dirs[i : i + 1], orbit, norm)) != full[i]:
+            got = dm._ball_exits(dirs[[first] * 9999 + [i]], orbit, norm, reach)
+            want = ref_ball_exits(dirs[[first, i]], orbit, norm)
+            assert got[-1].tobytes() == want[-1].tobytes()
+
+
+def test_far_field_exit_stays_beyond_the_horizon():
+    # a ray that tends to a point on a bisector's boundary: rounding alone
+    # gives it a root of about 1e-16 (ROADMAP item 3), an exit at s = 37.2
+    # that no image makes.  The root is an image's at reach 3.6, so no bound
+    # drops it, and the exit must stay past the horizon
+    _, orbit, norm, reach = _ball_orbit("z2-lattice", 6, cli._ball_origin(3))
+    s = dm._ball_exits(np.array([[0.0, -1.0, 0.0, 0.0]]), orbit, norm, reach)
+    assert s[0] > np.max(reach) / 2.0 + 4.0
+
+
 # --- reference certification: the one-shot distance matrix it replaced ---
-# _certify takes the witnesses' distances to the orbit in chunks of whole
-# rows, about _EXIT_CELLS at a time; this takes them all in one matrix, as
-# the census did before.  Each row reduces to its own minimum and
-# runner-up, so the two must give the same census bit for bit.
+# _certify visits the images nearest first, in tiles of about _EXIT_CELLS
+# distances, and drops a witness once no image left can come nearer than
+# its runner-up; this takes all distances in one matrix, as the census did
+# before.  Each witness keeps its nearest image, the first in index order
+# among equals, and the runner-up's distance, so the two must give the
+# same census bit for bit.
 
 
 def ref_certify(spell, dist, nrays, margin, enum_radius):
@@ -831,18 +956,28 @@ def ref_certify(spell, dist, nrays, margin, enum_radius):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """(witness count, witnesses per chunk, chunked census, one-shot census)
-    of every _certify call."""
-    calls = []
-    chunked = dm._certify
+    """(witness count, (rows, images) of each tile, nearest-first census,
+    one-shot census) of every _certify call."""
+    calls, tiles = [], []
+    nearest_first, visit = dm._certify, dm._nearest_first
 
-    def both(spell, witness, orbit_lifts, norm, witness_norm, *rest):
-        got = chunked(spell, witness, orbit_lifts, norm, witness_norm, *rest)
+    def logged(reach, count, dtypes, tile, done):
+        def logged_tile(rows, cols, *bufs):
+            tiles.append((len(rows), len(cols)))
+            tile(rows, cols, *bufs)
+
+        visit(reach, count, dtypes, logged_tile, done)
+
+    def both(spell, witness, s, orbit_lifts, reach, norm, witness_norm, *rest):
+        tiles.clear()
+        got = nearest_first(spell, witness, s, orbit_lifts, reach, norm,
+                            witness_norm, *rest)
         dist = core._bergman_distances(witness, orbit_lifts, norm, witness_norm)
-        calls.append((len(witness), dm._EXIT_CELLS // len(orbit_lifts), got,
+        calls.append((len(witness), list(tiles), got,
                       ref_certify(spell, dist, *rest)))
         return got
 
+    monkeypatch.setattr(dm, "_nearest_first", logged)
     monkeypatch.setattr(dm, "_certify", both)
     return calls
 
@@ -859,25 +994,50 @@ def schottky_generator_file(tmp_path):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("preset,radius,rays", [
     ("z2-lattice", 10, 10000), ("cyclic-vertical", 6, 2000),
-    ("schottky-file", 3, 2000)])
+    ("cyclic-vertical", 5, 2000), ("schottky-file", 3, 2000)])
 def test_chunked_certification_matches_one_shot(certified, tmp_path, preset,
                                                 radius, rays, seed):
     gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
             else ps.group_preset(preset))
     dm.dirichlet_side_census(gens, cli._ball_origin(gens.dim), radius,
                              rays=rays, seed=seed)
-    (witnesses, chunk, got, want), = certified
+    (witnesses, tiles, got, want), = certified
     _same_census_bits(got, want)
     if preset == "z2-lattice":
-        assert witnesses > 2 * chunk  # several chunks and a tail
+        # several blocks, and witnesses done before the last
+        assert len(tiles) > 1 and tiles[-1][0] < witnesses
 
 
 def test_chunked_slice_certification_matches_one_shot(certified):
     dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3, rays=6000)
     assert len(certified) == 2  # at enum_radius and enum_radius + 2
-    for witnesses, chunk, got, want in certified:
-        assert witnesses > 2 * chunk  # several chunks and a tail
+    for witnesses, tiles, got, want in certified:
+        # several blocks, and witnesses done before the last
+        assert len(tiles) > 1 and tiles[-1][0] < witnesses
         _same_census_bits(got, want)
+
+
+def test_certification_breaks_ties_by_index_across_blocks():
+    # a witness at the origin and 16 images on its axis, of which 3 and 12
+    # tie nearest to it.  The reaches put 12 in the first block and 3 in
+    # the last, and the witness is never done, so the tie is decided where
+    # the blocks merge, and as np.argmin decides it: for the lower index
+    t = np.linspace(2.0, 3.0, 16)
+    t[[3, 12]] = 1.5
+    orbit = np.zeros((16, 3), dtype=complex)
+    orbit[:, 2] = t
+    reach = np.arange(16.0)
+    reach[[3, 12]] = 15.5, 0.5
+    witness = np.array([[0.0, 0.0, 1.0]], dtype=complex)
+
+    def spell(rows):
+        return [f"g{r}" for r in rows]
+
+    got = dm._certify(spell, witness, np.array([100.0]), orbit, reach, -1.0,
+                      -1.0, 100, 0.0, 1)
+    dist = core._bergman_distances(witness, orbit, -1.0, -1.0)
+    _same_census_bits(got, ref_certify(spell, dist, 100, 0.0, 1))
+    assert got.sides == ("g3",) and got.margins == {"g3": 0.0}
 
 
 def test_census_peak_memory_is_bounded_by_one_chunk():
@@ -960,7 +1120,8 @@ def test_ray_toward_a_nearest_image_exits_at_half_its_distance(preset, where):
     for g in np.nonzero(base_d <= base_d.min() * (1.0 + 1e-12))[0]:
         z = orbit[g, :-1] / orbit[g, -1]
         u = np.concatenate([z.real, z.imag])
-        s = dm._ball_exits((u / np.linalg.norm(u))[None, :], orbit, norm)[0]
+        s = dm._ball_exits((u / np.linalg.norm(u))[None, :], orbit, norm,
+                           base_d)[0]
         assert abs(s - base_d[g] / 2.0) <= 1e-12 * (1.0 + s)
 
 
@@ -975,12 +1136,12 @@ _unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     st.lists(st.lists(_unit, min_size=4, max_size=4), min_size=1, max_size=8),
 )
 def test_ball_exits_are_first_exits(key, rays):
-    _, orbit, norm, _ = _orbit_case(key)
+    _, orbit, norm, reach = _orbit_case(key)
     dirs = np.array([u for u in rays if np.linalg.norm(u) > 1e-3])
     if not dirs.size:
         return
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    s = dm._ball_exits(dirs, orbit, norm)
+    s = dm._ball_exits(dirs, orbit, norm, reach)
     for u, exit_s in zip(dirs, s):
         # full distances over the whole orbit: no image is nearer than the
         # center on a grid short of the exit, which also catches beaten

@@ -19,6 +19,7 @@ from chgeom.errors import (
     FormViolationError,
     InvalidPackingError,
     InvalidPointError,
+    ParameterError,
 )
 
 
@@ -1081,6 +1082,11 @@ class TestLimitSet:
         with pytest.raises(ValueError):
             gr.limit_set_sample(gens, 0, [ball_origin()])
 
+    def test_no_seeds_rejected(self):
+        # np.concatenate of no seeds' images raised a bare ValueError
+        with pytest.raises(ParameterError, match="^need at least one seed$"):
+            gr.limit_set_sample(cyclic_vertical(), 3, [])
+
     def test_schottky_cloud_size(self):
         cloud = gr.limit_set_sample(schottky_pair(), 5, [ball_origin()])
         assert len(cloud) == 4 * 3**4
@@ -1138,3 +1144,15 @@ class TestBoxDim:
             gr.boxdim_estimate(cloud, [0.3, 0.2, 0.1])  # too few
         with pytest.raises(ValueError):
             gr.boxdim_estimate(cloud, [0.3, 0.25, 0.2, 0.15])  # under a decade
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, np.nan, np.inf])
+    def test_scales_must_be_finite_and_positive(self, bad, capfd):
+        # these reached LAPACK, which failed with LinAlgError and wrote
+        # "DLASCL parameter number 4 had an illegal value" to stderr
+        rng = np.random.default_rng(1)
+        cloud = gr.HeisCloud(
+            rng.normal(size=(1200, 1)).astype(complex), np.zeros(1200)
+        )
+        with pytest.raises(ParameterError, match="^scales must be finite and positive$"):
+            gr.boxdim_estimate(cloud, [0.3, 0.1, 0.03, bad])
+        assert capfd.readouterr().err == ""

@@ -18,9 +18,9 @@ Example:
     'negative'
     >>> m = core.Isometry(np.diag([np.exp(0.5), 1.0, 1.0]))   # doctest: +SKIP
 
-Classification of isometries (elliptic / parabolic / loxodromic) is by
-spectrum, with defective cases resolved through rank tests rather than raw
-eigenvalue moduli, which are unreliable for Jordan blocks.
+Isometries of CH^2 (n = 2) are classified by the trace of the matrix scaled
+to det 1 through Goldman's discriminant; only where it is 0 to rounding does
+a rank test on M - lam I tell a parabolic from a complex reflection.
 """
 
 import numpy as np
@@ -40,24 +40,16 @@ from .errors import (
 FORM_TOL = 1e-10
 PROJ_TOL = 1e-9
 NULL_TOL = 1e-12
-CLASS_TOL = 1e-8
 
-# Eigenvalues closer than _CLUSTER_TOL are treated as one algebraic cluster;
-# within a cluster, singular values of M - (cluster mean) I below _SMALL_SIGMA
-# times the largest one count toward the geometric multiplicity.  The cluster
-# mean is trusted even for defective blocks (rounding scatters a Jordan
-# block's eigenvalues symmetrically, so the mean stays accurate), while the
-# individual scattered eigenvalues are not.
-#
-# The cut has to separate two populations: true kernel directions, which stay
-# below ~1e-13 relative even after conjugation by norm-100 elements, and
-# genuine rank directions, which can fall to ~4e-5 relative for the Jordan
-# part of a badly conditioned parabolic and ~3e-4 for products of sphere
-# inversions (matrix norms in the thousands).  1e-9 sits safely between.
-_CLUSTER_TOL = 1e-3
-_SMALL_SIGMA = 1e-9
-_SIGMA_BAND = 10.0
-_SPREAD_FLOOR = 1e-11
+# Classification compares each quantity with a first-order bound on its
+# rounding, in units of _EPS, times the safety factor _ROUND: the bounds
+# drop second-order terms and unit constants, and det's phase, for one,
+# came within 1.01 of its bound eps k^2 on well-conditioned matrices.
+_EPS = float(np.finfo(float).eps)
+_ROUND = 16.0
+# A fixed point is computed to a projective gap of _POINT_TOL: tests hold
+# the word to it, and a kernel that rounds past it is taken another way.
+_POINT_TOL = 1e-6
 
 
 def form_matrix(n=2):
@@ -354,208 +346,147 @@ def bergman_distance(p, q):
     return 2.0 * float(np.arccosh(np.sqrt(ratio)))
 
 
-def _eigen_clusters(eigenvalues, tol=_CLUSTER_TOL):
-    """Group eigenvalues within tol of each other (single linkage)."""
-    m = len(eigenvalues)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for k in range(i + 1, m):
-            if abs(eigenvalues[i] - eigenvalues[k]) <= tol:
-                parent[find(i)] = find(k)
-    clusters = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+def _goldman(tau):
+    """Goldman's discriminant f(tau) = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27."""
+    t2 = tau.real * tau.real + tau.imag * tau.imag
+    return t2 * t2 - 8.0 * (tau * tau * tau).real + 18.0 * t2 - 27.0
 
 
-def _cluster_eigenspace(matrix, mean):
-    """Basis of the numerical near-kernel of (M - mean I).
-
-    Returns (basis columns, singular values, ambiguous flag).  The rank cut
-    sits at _SMALL_SIGMA relative to the largest singular value of the
-    shifted matrix; singular values inside the band just above the cut make
-    the multiplicity structure ambiguous.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    shifted = m - mean * np.eye(m.shape[0])
-    _, s, vh = np.linalg.svd(shifted)
-    smax = max(s[0], 1e-300)
-    cut = _SMALL_SIGMA * smax
-    small = s <= cut
-    ambiguous = np.any((s > cut) & (s < _SIGMA_BAND * cut))
-    basis = vh.conj().T[:, small]
-    return basis, s, bool(ambiguous)
-
-
-def _resolve_clusters(mat, eigenvalues):
-    """Split the spectrum into clusters backed by rank evidence.
-
-    Returns (lam, mean, basis) triples: the eigenvalues assigned to the
-    cluster, their mean, and an orthonormal near-kernel basis of
-    (mat - mean I).  A basis narrower than len(lam) certifies a defective
-    cluster.  Clusters whose members share no near-eigenvector are split at
-    finer tolerances until the evidence is consistent; raises
-    BorderlineClassError when no consistent reading exists.
-    """
-    out = []
-
-    def visit(lam, ctol):
-        mean = complex(np.mean(lam))
-        basis, _, ambiguous = _cluster_eigenspace(mat, mean)
-        if ambiguous:
-            raise BorderlineClassError(
-                "eigenspace rank is ambiguous at the working tolerance",
-                eigenvalues=eigenvalues,
-            )
-        nsmall = basis.shape[1]
-        if nsmall > len(lam):
-            raise BorderlineClassError(
-                "more near-null directions than the cluster multiplicity",
-                eigenvalues=eigenvalues,
-            )
-        if nsmall >= 1:
-            out.append((lam, mean, basis))
-            return
-        # no shared eigenvector: the cluster merged genuinely distinct
-        # eigenvalues, so split it at a finer scale
-        fine = ctol / 50.0
-        if len(lam) == 1 or fine < 1e-9:
-            raise BorderlineClassError(
-                "eigenvalue cluster cannot be resolved above the noise floor",
-                eigenvalues=eigenvalues,
-            )
-        subs = _eigen_clusters(lam, tol=fine)
-        if len(subs) == 1:
-            visit(lam, fine)
-        else:
-            for idx in subs:
-                visit(lam[idx], fine)
-
-    for idx in _eigen_clusters(eigenvalues):
-        visit(eigenvalues[list(idx)], _CLUSTER_TOL)
-    return out
+def _trace_class(mat):
+    """(class, root, rank, triple) of a non-identity isometry of CH^2: where
+    f = 0 leaves the class to linear algebra, the double (triple) root of
+    the characteristic polynomial in mat's scale and the rank of mat - root
+    I; otherwise None."""
+    if mat.shape != (3, 3):
+        raise DimensionError("isometries are classified for n = 2 only")
+    sv = np.linalg.svd(mat, compute_uv=False)
+    # a form isometry times c has singular values |c| (e^t, 1, e^-t): the
+    # middle one is the scale, whatever det has rounded to
+    k, a = sv[0] / sv[1], mat / sv[1]
+    # entry error of a: what its form defect shows, and never below rounding
+    err = form_defect(a) / k + _EPS * k
+    tau = complex(a[0, 0] + a[1, 1] + a[2, 2])
+    # f >= (|tau| - 3)^3 (|tau| + 1) > 0 once |tau| > 3, whatever the phase;
+    # the middle singular value is good to eps times the largest
+    if abs(tau) / (1.0 + _ROUND * _EPS * k) - 3.0 * _ROUND * err > 3.0:
+        return "loxodromic", None, None, None
+    phase = np.exp(1j * np.angle(np.linalg.det(a)) / 3.0)
+    a, tau = a / phase, tau / phase
+    # the scale is good to eps k, and det's phase to eps k^2, its condition
+    drift = _EPS * k * (1.0 + k)
+    t = abs(tau)
+    dtau = 3.0 * err + drift * t
+    f = _goldman(tau)
+    df = _ROUND * (((4.0 * t + 24.0) * t + 36.0) * t * dtau
+                   + _EPS * (((t + 8.0) * t + 18.0) * t * t + 27.0))
+    if abs(f) > df:
+        return ("loxodromic" if f > 0 else "elliptic"), None, None, None
+    # f = 0 to rounding: the double root of x^3 - tau x^2 + conj(tau) x - 1
+    # is a root of its derivative, and a triple root is tau / 3
+    delta = tau * tau - 3.0 * tau.conjugate()
+    ddelta = (2.0 * t + 3.0) * dtau
+    triple = abs(delta) <= _ROUND * ddelta
+    if triple:
+        lam, dlam = tau / 3.0, dtau / 3.0
+    else:
+        r = np.sqrt(delta)
+        lam = min(((tau + r) / 3.0, (tau - r) / 3.0),
+                  key=lambda x: abs(((x - tau) * x + tau.conjugate()) * x - 1.0))
+        dlam = (dtau + ddelta / abs(r)) / 3.0
+    n = a - lam * np.eye(3)
+    u, s, vh = np.linalg.svd(n)
+    noise = _ROUND * (3.0 * (err + drift) + _EPS * s[0])
+    cut = noise + 3.0 * _ROUND * dlam
+    if s[0] <= cut:
+        raise BorderlineClassError("the element is the identity to rounding")
+    if s[2] > cut:
+        raise BorderlineClassError(f"f = {f:.2e} is within {df:.2e} of 0, yet no double root")
+    root = lam * phase * sv[1]
+    if s[1] > cut:
+        # one eigenvector at the root: a Jordan block, certified only well
+        # clear of the cut, since a split pair conjugated by a matrix of
+        # condition kappa shows s1 / s2 up to kappa^2; 100 admits kappa < 10
+        if s[1] <= 100.0 * cut:
+            raise BorderlineClassError("the rank of M - lam I is ambiguous")
+        return "parabolic", root, 2, triple
+    # a 2-dimensional eigenspace: M - lam I is a scalar on it, the error of
+    # lam, while on a split pair it is not
+    v = vh[1:].conj().T
+    pair = v.conj().T @ n @ v
+    if np.abs(pair - (np.trace(pair) / 2.0) * np.eye(2)).max() > noise:
+        raise BorderlineClassError("an eigenvalue pair that the trace cannot split")
+    if not triple:
+        return "elliptic", root, 1, False
+    # a rank-1 part of trace 0 is nilpotent, a parabolic; one of nonzero
+    # trace is a complex reflection near the identity
+    if abs(s[0] * np.vdot(vh[0].conj(), u[:, 0])) > noise:
+        raise BorderlineClassError("a near-triple eigenvalue that is not nilpotent")
+    return "parabolic", root, 1, True
 
 
 def classify_isometry(m):
     """Classify as 'identity', 'elliptic', 'parabolic' or 'loxodromic'.
 
-    Loxodromic means an eigenvalue off the unit circle (after det
-    normalization); among unit-spectrum elements, elliptic means
-    diagonalizable with an interior fixed point and parabolic means
-    defective.  Genuinely ambiguous inputs raise BorderlineClassError
-    rather than guessing.
+    n = 2 only: other n raise DimensionError, the identity aside.  The
+    trace tau of the matrix scaled to det 1 decides: Goldman's f(tau) =
+    |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 is positive exactly for
+    loxodromic and negative exactly for regular elliptic elements (Goldman
+    1999, Thm 6.2.4).  Where f is 0 to rounding, the rank and nilpotency of
+    M - lam I at the double root lam tell a complex reflection (elliptic)
+    from a parabolic.  What the rounding bounds cannot separate raises
+    BorderlineClassError.
     """
-    if not isinstance(m, Isometry):
-        m = Isometry(np.asarray(m, dtype=complex))
-    mat = m.matrix
+    mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
     if is_projective_identity(mat):
         return "identity"
-
-    eigenvalues = np.linalg.eigvals(mat)
-    j = form_matrix(mat.shape[0] - 1)
-    any_defective = False
-    has_negative_vector = False
-    moduli = []
-    for lam, mean, basis in _resolve_clusters(mat, eigenvalues):
-        if basis.shape[1] < len(lam):
-            # defective cluster: the scattered eigenvalues are artifacts,
-            # only the mean is trustworthy
-            any_defective = True
-            moduli.append(abs(mean))
-            continue
-        moduli.extend(np.abs(lam))
-        gram = basis.conj().T @ j @ basis
-        if float(np.min(np.linalg.eigvalsh(gram))) < -1e-10:
-            has_negative_vector = True
-
-    spread = max(moduli) / min(moduli) - 1.0
-    if any_defective:
-        # a defective block in a form isometry forces a unit spectrum, so a
-        # large measured spread would contradict the rank evidence
-        if spread > CLASS_TOL:
-            raise BorderlineClassError(
-                "defective cluster coexists with off-circle moduli",
-                eigenvalues=eigenvalues,
-            )
-        return "parabolic"
-    if spread > CLASS_TOL:
-        return "loxodromic"
-    if spread > _SPREAD_FLOOR:
-        raise BorderlineClassError(
-            f"eigenvalue modulus spread {spread:.3e} is inside the ambiguity "
-            "band between unit and loxodromic spectrum",
-            eigenvalues=eigenvalues,
-        )
-    if has_negative_vector:
-        return "elliptic"
-    # diagonalizable with unit spectrum forces an interior fixed point;
-    # not seeing one means the numerics cannot be trusted here
-    raise BorderlineClassError(
-        "diagonalizable unit spectrum without a visible interior fixed point",
-        eigenvalues=eigenvalues,
-    )
+    return _trace_class(mat)[0]
 
 
 def boundary_fixed_points(m):
-    """Null fixed lines of an isometry, projectively deduplicated.
+    """Null fixed lines of an isometry of CH^2, in a canonical order.
 
-    Parabolic elements yield one point, loxodromic two.  Elliptic elements
-    may yield zero (regular rotation) or a pair of chain endpoints when an
-    eigenspace meets the null cone.
+    By the trace class: a loxodromic element has two, the kernels of
+    M - lam I at its largest and smallest eigenvalue moduli; a parabolic
+    one; a regular elliptic none; a complex reflection in a complex line
+    a pair of chain endpoints, where its eigenspace meets the null cone.
+    n = 2 only, as for classify_isometry.
     """
     mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
     if is_projective_identity(mat):
         raise DegenerateInputError("identity fixes every point")
-
-    j = form_matrix(mat.shape[0] - 1)
+    tag, root, rank, triple = _trace_class(mat)
     eigenvalues = np.linalg.eigvals(mat)
+    j = form_matrix(2)
+    if tag == "loxodromic":
+        order = np.argsort(np.abs(eigenvalues))
+        spaces = [(mat, eigenvalues[order[-1]], 1), (mat, eigenvalues[order[0]], 1)]
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if _EPS * (sv[0] / sv[1]) ** 2 > _POINT_TOL:
+            # the smallest eigenvalue rounds by eps k, and its kernel by that
+            # over the singular gap 1/k: past _POINT_TOL, take the repelling
+            # point as the attracting one of the exact inverse
+            inverse = j @ mat.conj().T @ j
+            spaces[1] = (inverse, max(np.linalg.eigvals(inverse), key=abs), 1)
+    elif root is None:
+        spaces = []
+    else:
+        # the eigenspace at the root, shifted by the mean of its eigenvalues
+        near = np.argsort(np.abs(eigenvalues - root))[:3 if triple else 2]
+        spaces = [(mat, complex(np.mean(eigenvalues[near])), 3 - rank)]
     found = []
-    for lam, _, basis in _resolve_clusters(mat, eigenvalues):
-        for sub in _refine_eigenspaces(mat, lam, basis):
-            found.extend(_null_lines_in_eigenspace(sub, j))
-    points = []
-    for lift in found:
-        cand = ProjectivePoint(lift)
-        if not any(cand.projectively_equal(q, tol=1e-6) for q in points):
-            points.append(cand)
-    points.sort(key=lambda p: _lift_sort_key(p))
+    for space, lam, dim in spaces:
+        _, _, vh = np.linalg.svd(space - lam * np.eye(3))
+        found.extend(_null_lines_in_eigenspace(vh.conj().T[:, 3 - dim:], j))
+    points = [ProjectivePoint(lift) for lift in found]
+    points.sort(key=lambda p: tuple(np.round(p.normalized_lift().view(float), 7)))
     return points
-
-
-def _refine_eigenspaces(mat, lam, basis):
-    """Split a semisimple cluster basis by sub-eigenvalue when possible.
-
-    A coarse cluster can merge distinct eigenvalues; null lines must come
-    from genuine eigenspaces, so re-diagonalize the restriction and split
-    whenever the sub-eigenvalues separate cleanly.  Defective clusters and
-    numerically coincident sub-eigenvalues pass through unchanged.
-    """
-    k = basis.shape[1]
-    if k < 2 or k < len(lam):
-        return [basis]
-    restricted = basis.conj().T @ mat @ basis
-    mu, vecs = np.linalg.eig(restricted)
-    groups = _eigen_clusters(mu, tol=1e-9)
-    if len(groups) == 1:
-        return [basis]
-    out = []
-    for idx in groups:
-        q, _ = np.linalg.qr(vecs[:, idx])
-        out.append(basis @ q)
-    return out
 
 
 def _null_lines_in_eigenspace(basis, j):
     """Representative null-cone lifts inside one eigenspace."""
     gram = basis.conj().T @ j @ basis
     d, w = np.linalg.eigh(gram)
+    # a null direction rounds to |<v, v>| of about eps k; others stay O(1)
     null_mask = np.abs(d) <= 1e-8
     lifts = [basis @ w[:, k] for k in np.where(null_mask)[0]]
     if not lifts and d.shape[0] >= 2 and d[0] < 0 < d[-1]:
@@ -568,8 +499,3 @@ def _null_lines_in_eigenspace(basis, j):
         lifts.append(b * neg + a * pos)
         lifts.append(b * neg - a * pos)
     return lifts
-
-
-def _lift_sort_key(p):
-    z = p.normalized_lift()
-    return tuple(np.round(z.view(float), 7))

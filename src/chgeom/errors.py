@@ -1,12 +1,12 @@
 """Exception types shared across the toolkit.
 
 Every failure the toolkit raises is one of these classes.  Every error that
-carries numerical evidence (a form defect, an eigenvalue list, a completed
-radius) stores it on the exception instance so callers and the CLI can
-report it without reparsing messages.  Each class also names the CLI exit
-code it maps to: 2 input, 3 degenerate geometry, 4 constraint violation,
-5 resource budget.  The CLI catches GeometryError alone, so any other
-exception, with its traceback, is a bug.
+carries numerical evidence (a form defect, a completed radius) stores it on
+the exception instance so callers and the CLI can report it without
+reparsing messages.  Each class also names the CLI exit code it maps to:
+2 input, 3 degenerate geometry, 4 constraint violation, 5 resource budget.
+The CLI catches GeometryError alone, so any other exception, with its
+traceback, is a bug.
 """
 
 
@@ -72,17 +72,9 @@ class PointClassError(GeometryError):
 
 
 class BorderlineClassError(GeometryError):
-    """Classification is ambiguous at the working tolerance.
-
-    Attributes:
-        eigenvalues: the computed spectrum, for the caller to inspect.
-    """
+    """Classification that the rounding bounds cannot decide."""
 
     exit_code = 3
-
-    def __init__(self, message, eigenvalues=None):
-        super().__init__(message)
-        self.eigenvalues = eigenvalues
 
 
 class DegenerateInputError(GeometryError):

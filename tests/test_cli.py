@@ -134,6 +134,25 @@ def test_classify_flat_row_major_also_accepted(tmp_path):
     assert data["results"][0]["class"] == "loxodromic"
 
 
+def test_classify_cube_of_a_schottky_generator(tmp_path):
+    # the eigen-cluster classifier read a^3 as borderline and exited 3
+    a = ps.group_preset("schottky").isometries[0].matrix
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps([matrix_as_pairs(np.linalg.matrix_power(a, 3))]))
+    result = payload_of(["--command", "classify", "--preset", str(path)])["results"][0]
+    assert result["class"] == "loxodromic"
+    assert len(result["boundary_fixed_points"]) == 2
+
+
+def test_classify_4x4_file_exits_2_with_dimension_error(tmp_path):
+    path = tmp_path / "n3.json"
+    mat = hb.embed_dilation(np.exp(0.5), n=3).matrix
+    path.write_text(json.dumps([matrix_as_pairs(mat)]))
+    rc, out, err = run_cli(["--command", "classify", "--preset", str(path)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "DimensionError"
+
+
 def test_classify_nonisometric_matrix_exits_2_with_defect(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([matrix_as_pairs(np.diag([1.0, 2.0, 1.0]))]))
@@ -752,7 +771,7 @@ _ERROR_TABLE = [
     (errors.PointClassError("m"), 3, {}),
     (errors.PoleError("m"), 3, {}),
     (errors.PointAtInfinityError("m"), 3, {}),
-    (errors.BorderlineClassError("m", eigenvalues=[1.0]), 3, {}),
+    (errors.BorderlineClassError("m"), 3, {}),
     (errors.InvarianceError("m"), 4, {}),
     (errors.BranchBoundaryError("m"), 4, {}),
     (errors.InvalidPackingError("m"), 4, {}),

@@ -245,14 +245,7 @@ class SweepReport(NamedTuple):
     zero_only_at_origin: bool
 
 
-def _deformed_partner(spec, eta):
-    u = unitary_rotation(eta, n=spec.g_alpha.n)
-    if spec.kind == "hnn":
-        return u @ spec.hnn_partner
-    return u @ spec.group_two.isometries[0] @ u.inverse()
-
-
-def _base_tracked_points(spec):
+def _base_tracked_points(partner):
     """Both fixed points of the undeformed partner off the g_alpha axis.
 
     Returns (moving, anchor): the first becomes the tracked x2, the second
@@ -261,12 +254,12 @@ def _base_tracked_points(spec):
     the deformed partner (their v-coordinate vanishes identically), so the
     anchor must come from the partner itself.
     """
-    n = spec.g_alpha.n
+    n = partner.n
     origin = hb.horo_to_projective(hb.HeisPoint(np.zeros(n - 1), 0.0))
     infinity = core.infinity_point(n)
     off_axis = [
         p
-        for p in core.boundary_fixed_points(_deformed_partner(spec, 0.0))
+        for p in core.boundary_fixed_points(partner)
         if not (p.projectively_equal(origin) or p.projectively_equal(infinity))
     ]
     if len(off_axis) < 2:
@@ -321,48 +314,40 @@ def bend_sweep(
 
     n = spec.g_alpha.n
     origin = hb.horo_to_projective(hb.HeisPoint(np.zeros(n - 1), 0.0))
-    base, anchor = _base_tracked_points(spec)
-
-    # walk outward from eta = 0 so each step tracks the previous point
-    order = sorted(range(len(etas)), key=lambda i: (abs(etas[i]), etas[i]))
-    tracked = {}
-    anchor_pos = base
-    anchor_neg = base
-    for i in order:
-        eta = etas[i]
-        if eta == 0.0:
-            tracked[i] = base
-            continue
-        previous = anchor_pos if eta > 0 else anchor_neg
-        fixed = core.boundary_fixed_points(_deformed_partner(spec, eta))
-        point = _nearest_fixed_point(fixed, previous)
-        tracked[i] = point
-        if eta > 0:
-            anchor_pos = point
-        else:
-            anchor_neg = point
+    # deform_group puts the partner right after group_one's generators
+    partner = len(spec.group_one.labels)
+    zero = deform_group(spec, 0.0)
+    base, anchor = _base_tracked_points(zero.isometries[partner])
 
     rows = []
-    for i, eta in enumerate(etas):
-        gens = deform_group(spec, eta)
-        try:
-            passed, gap = gr.identity_word_probe(
-                gens, max_len=probe_len, tol=probe_tol, budget=budget
+    # walk outward from eta = 0 on each side, so each step tracks the
+    # previous point
+    for side in ([e for e in etas if e >= 0.0], [e for e in etas[::-1] if e < 0.0]):
+        tracked = base
+        for eta in side:
+            gens = zero
+            if eta != 0.0:
+                gens = deform_group(spec, eta)
+                fixed = core.boundary_fixed_points(gens.isometries[partner])
+                tracked = _nearest_fixed_point(fixed, tracked)
+            try:
+                passed, gap = gr.identity_word_probe(
+                    gens, max_len=probe_len, tol=probe_tol, budget=budget
+                )
+            except gr.BudgetExceededError:
+                passed, gap = False, float("nan")
+            cloud = gr.limit_set_sample(gens, limit_depth, [tracked], budget=budget)
+            rows.append(
+                SweepRow(
+                    eta=eta,
+                    cartan_alpha=cartan_invariant((anchor, origin, tracked)),
+                    probe_passed=passed,
+                    min_word_gap=gap,
+                    tracked_point=hb.projective_to_horo(tracked).boundary(),
+                    limit_points=cloud,
+                )
             )
-        except gr.BudgetExceededError:
-            passed, gap = False, float("nan")
-        alpha = cartan_invariant((anchor, origin, tracked[i]))
-        cloud = gr.limit_set_sample(gens, limit_depth, [tracked[i]], budget=budget)
-        rows.append(
-            SweepRow(
-                eta=eta,
-                cartan_alpha=alpha,
-                probe_passed=passed,
-                min_word_gap=gap,
-                tracked_point=hb.projective_to_horo(tracked[i]).boundary(),
-                limit_points=cloud,
-            )
-        )
+    rows.sort(key=lambda r: r.eta)
 
     alphas = [r.cartan_alpha for r in rows]
     distinct = all(

@@ -47,9 +47,6 @@ NULL_TOL = 1e-12
 # came within 1.01 of its bound eps k^2 on well-conditioned matrices.
 _EPS = float(np.finfo(float).eps)
 _ROUND = 16.0
-# A fixed point is computed to a projective gap of _POINT_TOL: tests hold
-# the word to it, and a kernel that rounds past it is taken another way.
-_POINT_TOL = 1e-6
 
 
 def form_matrix(n=2):
@@ -353,10 +350,10 @@ def _goldman(tau):
 
 
 def _trace_class(mat):
-    """(class, root, rank, triple) of a non-identity isometry of CH^2: where
-    f = 0 leaves the class to linear algebra, the double (triple) root of
-    the characteristic polynomial in mat's scale and the rank of mat - root
-    I; otherwise None."""
+    """(class, kernel) of a non-identity isometry of CH^2.  Where f = 0
+    leaves the class to linear algebra, kernel holds orthonormal columns
+    spanning ker(M - lam I) at the double (triple) root lam of the
+    characteristic polynomial; otherwise it is None."""
     if mat.shape != (3, 3):
         raise DimensionError("isometries are classified for n = 2 only")
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -369,7 +366,7 @@ def _trace_class(mat):
     # f >= (|tau| - 3)^3 (|tau| + 1) > 0 once |tau| > 3, whatever the phase;
     # the middle singular value is good to eps times the largest
     if abs(tau) / (1.0 + _ROUND * _EPS * k) - 3.0 * _ROUND * err > 3.0:
-        return "loxodromic", None, None, None
+        return "loxodromic", None
     phase = np.exp(1j * np.angle(np.linalg.det(a)) / 3.0)
     a, tau = a / phase, tau / phase
     # the scale is good to eps k, and det's phase to eps k^2, its condition
@@ -380,7 +377,7 @@ def _trace_class(mat):
     df = _ROUND * (((4.0 * t + 24.0) * t + 36.0) * t * dtau
                    + _EPS * (((t + 8.0) * t + 18.0) * t * t + 27.0))
     if abs(f) > df:
-        return ("loxodromic" if f > 0 else "elliptic"), None, None, None
+        return ("loxodromic" if f > 0 else "elliptic"), None
     # f = 0 to rounding: the double root of x^3 - tau x^2 + conj(tau) x - 1
     # is a root of its derivative, and a triple root is tau / 3
     delta = tau * tau - 3.0 * tau.conjugate()
@@ -401,14 +398,13 @@ def _trace_class(mat):
         raise BorderlineClassError("the element is the identity to rounding")
     if s[2] > cut:
         raise BorderlineClassError(f"f = {f:.2e} is within {df:.2e} of 0, yet no double root")
-    root = lam * phase * sv[1]
     if s[1] > cut:
         # one eigenvector at the root: a Jordan block, certified only well
         # clear of the cut, since a split pair conjugated by a matrix of
         # condition kappa shows s1 / s2 up to kappa^2; 100 admits kappa < 10
         if s[1] <= 100.0 * cut:
             raise BorderlineClassError("the rank of M - lam I is ambiguous")
-        return "parabolic", root, 2, triple
+        return "parabolic", vh[2:].conj().T
     # a 2-dimensional eigenspace: M - lam I is a scalar on it, the error of
     # lam, while on a split pair it is not
     v = vh[1:].conj().T
@@ -416,12 +412,12 @@ def _trace_class(mat):
     if np.abs(pair - (np.trace(pair) / 2.0) * np.eye(2)).max() > noise:
         raise BorderlineClassError("an eigenvalue pair that the trace cannot split")
     if not triple:
-        return "elliptic", root, 1, False
+        return "elliptic", v
     # a rank-1 part of trace 0 is nilpotent, a parabolic; one of nonzero
     # trace is a complex reflection near the identity
     if abs(s[0] * np.vdot(vh[0].conj(), u[:, 0])) > noise:
         raise BorderlineClassError("a near-triple eigenvalue that is not nilpotent")
-    return "parabolic", root, 1, True
+    return "parabolic", v
 
 
 def classify_isometry(m):
@@ -445,57 +441,41 @@ def classify_isometry(m):
 def boundary_fixed_points(m):
     """Null fixed lines of an isometry of CH^2, in a canonical order.
 
-    By the trace class: a loxodromic element has two, the kernels of
-    M - lam I at its largest and smallest eigenvalue moduli; a parabolic
-    one; a regular elliptic none; a complex reflection in a complex line
-    a pair of chain endpoints, where its eigenspace meets the null cone.
-    n = 2 only, as for classify_isometry.
+    By the trace class, with no null-cone threshold: a loxodromic element
+    has two, the attracting lines of M and of its exact inverse J M* J,
+    each the kernel at the eigenvalue of largest modulus.  Otherwise the
+    kernel of M - lam I that the class was read from: a one-dimensional
+    kernel (a parabolic Jordan block) is the point; on a two-dimensional
+    one the eigenvectors of the Gram matrix decide.  A parabolic's point
+    is the one whose eigenvalue is nearest 0, a complex reflection in a
+    complex line (indefinite Gram) fixes the two chain endpoints, and one
+    in a point (definite Gram) fixes none; neither does a regular
+    elliptic.  n = 2 only, as for classify_isometry.
     """
     mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
     if is_projective_identity(mat):
         raise DegenerateInputError("identity fixes every point")
-    tag, root, rank, triple = _trace_class(mat)
-    eigenvalues = np.linalg.eigvals(mat)
+    tag, kernel = _trace_class(mat)
     j = form_matrix(2)
+    lifts = []
     if tag == "loxodromic":
-        order = np.argsort(np.abs(eigenvalues))
-        spaces = [(mat, eigenvalues[order[-1]], 1), (mat, eigenvalues[order[0]], 1)]
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if _EPS * (sv[0] / sv[1]) ** 2 > _POINT_TOL:
-            # the smallest eigenvalue rounds by eps k, and its kernel by that
-            # over the singular gap 1/k: past _POINT_TOL, take the repelling
-            # point as the attracting one of the exact inverse
-            inverse = j @ mat.conj().T @ j
-            spaces[1] = (inverse, max(np.linalg.eigvals(inverse), key=abs), 1)
-    elif root is None:
-        spaces = []
-    else:
-        # the eigenspace at the root, shifted by the mean of its eigenvalues
-        near = np.argsort(np.abs(eigenvalues - root))[:3 if triple else 2]
-        spaces = [(mat, complex(np.mean(eigenvalues[near])), 3 - rank)]
-    found = []
-    for space, lam, dim in spaces:
-        _, _, vh = np.linalg.svd(space - lam * np.eye(3))
-        found.extend(_null_lines_in_eigenspace(vh.conj().T[:, 3 - dim:], j))
-    points = [ProjectivePoint(lift) for lift in found]
+        # the largest eigenvalue and its kernel keep their digits however
+        # far out the word is; the smallest ones are rounding noise there
+        for space in (mat, j @ mat.conj().T @ j):
+            lam = max(np.linalg.eigvals(space), key=abs)
+            lifts.append(np.linalg.svd(space - lam * np.eye(3))[2][-1].conj())
+    elif kernel is not None and kernel.shape[1] == 1:
+        lifts = [kernel[:, 0]]
+    elif kernel is not None:
+        d, w = np.linalg.eigh(kernel.conj().T @ j @ kernel)
+        neg, pos = kernel @ w[:, 0], kernel @ w[:, 1]
+        if tag == "parabolic":
+            lifts = [neg if abs(d[0]) <= abs(d[1]) else pos]
+        elif d[0] < 0 < d[1]:
+            # the null cone meets the eigenspace in a circle of lines:
+            # report its two real-combination representatives
+            a, b = np.sqrt(-d[0]), np.sqrt(d[1])
+            lifts = [b * neg + a * pos, b * neg - a * pos]
+    points = [ProjectivePoint(lift) for lift in lifts]
     points.sort(key=lambda p: tuple(np.round(p.normalized_lift().view(float), 7)))
     return points
-
-
-def _null_lines_in_eigenspace(basis, j):
-    """Representative null-cone lifts inside one eigenspace."""
-    gram = basis.conj().T @ j @ basis
-    d, w = np.linalg.eigh(gram)
-    # a null direction rounds to |<v, v>| of about eps k; others stay O(1)
-    null_mask = np.abs(d) <= 1e-8
-    lifts = [basis @ w[:, k] for k in np.where(null_mask)[0]]
-    if not lifts and d.shape[0] >= 2 and d[0] < 0 < d[-1]:
-        # indefinite eigenspace: the null cone meets it in a circle of
-        # lines; report the two real-combination representatives
-        neg = basis @ w[:, 0]
-        pos = basis @ w[:, -1]
-        a = np.sqrt(-d[0])
-        b = np.sqrt(d[-1])
-        lifts.append(b * neg + a * pos)
-        lifts.append(b * neg - a * pos)
-    return lifts

@@ -134,9 +134,10 @@ class AmalgamSpec(namedtuple(
                                hnn_label)
         if (self.group_two is None) == (self.hnn_partner is None):
             raise ParameterError("provide exactly one of group_two and hnn_partner")
-        if core.classify_isometry(self.g_alpha) != "loxodromic":
+        classified = core._classified(self.g_alpha)
+        if classified[1] != "loxodromic":
             raise ParameterError("g_alpha must be loxodromic")
-        fixed = core.boundary_fixed_points(self.g_alpha)
+        fixed = core._fixed_points(*classified)
         n = self.g_alpha.n
         expected = (hb.horo_to_projective(hb.HeisPoint(np.zeros(n - 1), 0.0)),
                     core.infinity_point(n))

@@ -231,9 +231,10 @@ def _points_payload(lifts, **columns):
 def _cmd_classify(args, tol):
     results = []
     for iso in _resolve_group(args, ps.GROUP_PRESETS, labeled=False):
-        tag = core.classify_isometry(iso)
-        eig = np.linalg.eigvals(iso.matrix)
-        fixed = [] if tag == "identity" else core.boundary_fixed_points(iso)
+        # one trace class and one eigvals serve the whole payload
+        mat, tag, kernel = core._classified(iso)
+        eig = np.linalg.eigvals(mat)
+        fixed = [] if tag == "identity" else core._fixed_points(mat, tag, kernel, eig)
         lifts = np.array([q.lift for q in fixed], dtype=complex)
         results.append({
             "class": tag,

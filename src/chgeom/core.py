@@ -420,6 +420,15 @@ def _trace_class(mat):
     return "parabolic", v
 
 
+def _classified(m):
+    """(matrix, class, kernel) of an isometry or its matrix: _trace_class's
+    class and kernel, or 'identity' and None."""
+    mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
+    if is_projective_identity(mat):
+        return mat, "identity", None
+    return (mat,) + _trace_class(mat)
+
+
 def classify_isometry(m):
     """Classify as 'identity', 'elliptic', 'parabolic' or 'loxodromic'.
 
@@ -432,10 +441,7 @@ def classify_isometry(m):
     from a parabolic.  What the rounding bounds cannot separate raises
     BorderlineClassError.
     """
-    mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
-    if is_projective_identity(mat):
-        return "identity"
-    return _trace_class(mat)[0]
+    return _classified(m)[1]
 
 
 def boundary_fixed_points(m):
@@ -447,30 +453,50 @@ def boundary_fixed_points(m):
     kernel of M - lam I that the class was read from: a one-dimensional
     kernel (a parabolic Jordan block) is the point; on a two-dimensional
     one the eigenvectors of the Gram matrix decide.  A parabolic's point
-    is the one whose eigenvalue is nearest 0, a complex reflection in a
-    complex line (indefinite Gram) fixes the two chain endpoints, and one
-    in a point (definite Gram) fixes none; neither does a regular
-    elliptic.  n = 2 only, as for classify_isometry.
+    is the one whose eigenvalue is nearest 0, moved onto the null cone (see
+    _onto_null_cone), a complex reflection in a complex line (indefinite
+    Gram) fixes the two chain endpoints, and one in a point (definite
+    Gram) fixes none; neither does a regular elliptic.  n = 2 only, as for
+    classify_isometry.
     """
-    mat = m.matrix if isinstance(m, Isometry) else Isometry(m).matrix
-    if is_projective_identity(mat):
+    return _fixed_points(*_classified(m))
+
+
+def _onto_null_cone(z):
+    """The null lift z - <z, z> e / (2 conj <z, e>), for a kernel that is
+    null only to its rounding (about 1e-6 near the identity).  The null
+    direction e = e_n - e_{n+1}, toward infinity, keeps the Heisenberg
+    (xi, v) and sets u to 0; outside the unit Cygan sphere e = e_n +
+    e_{n+1}, toward the origin, has the larger |<z, e>| and smaller step."""
+    toward, away = z[-2] + z[-1], z[-2] - z[-1]  # <z, e> for the two e
+    sign, pair = (-1.0, toward) if abs(toward) >= abs(away) else (1.0, away)
+    e = np.zeros(len(z))
+    e[-2:] = 1.0, sign
+    return z - (herm_inner(z, z).real / (2.0 * np.conj(pair))) * e
+
+
+def _fixed_points(mat, tag, kernel, eig=None):
+    """boundary_fixed_points of a matrix of the class and kernel that
+    _classified gave; eig, if given, is np.linalg.eigvals(mat)."""
+    if tag == "identity":
         raise DegenerateInputError("identity fixes every point")
-    tag, kernel = _trace_class(mat)
     j = form_matrix(2)
     lifts = []
     if tag == "loxodromic":
         # the largest eigenvalue and its kernel keep their digits however
         # far out the word is; the smallest ones are rounding noise there
-        for space in (mat, j @ mat.conj().T @ j):
-            lam = max(np.linalg.eigvals(space), key=abs)
+        inverse = j @ mat.conj().T @ j
+        eig = np.linalg.eigvals(mat) if eig is None else eig
+        for space, values in ((mat, eig), (inverse, np.linalg.eigvals(inverse))):
+            lam = max(values, key=abs)
             lifts.append(np.linalg.svd(space - lam * np.eye(3))[2][-1].conj())
     elif kernel is not None and kernel.shape[1] == 1:
-        lifts = [kernel[:, 0]]
+        lifts = [_onto_null_cone(kernel[:, 0])]
     elif kernel is not None:
         d, w = np.linalg.eigh(kernel.conj().T @ j @ kernel)
         neg, pos = kernel @ w[:, 0], kernel @ w[:, 1]
         if tag == "parabolic":
-            lifts = [neg if abs(d[0]) <= abs(d[1]) else pos]
+            lifts = [_onto_null_cone(neg if abs(d[0]) <= abs(d[1]) else pos)]
         elif d[0] < 0 < d[1]:
             # the null cone meets the eigenspace in a circle of lines:
             # report its two real-combination representatives

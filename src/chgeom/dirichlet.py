@@ -170,10 +170,9 @@ def _chord_lifts(directions, s):
     return lifts
 
 
-def _census_orbit(gens, enum_radius, budget):
+def _census_orbit(gens, levels):
     """spell(rows), the words of the given rows of mats, and mats, the
-    matrices of the nontrivial elements of the word ball."""
-    levels, _ = gr.element_ball(gens, enum_radius, budget)
+    matrices of the nontrivial elements of element_ball's levels."""
     if len(levels) == 1:
         raise DegenerateInputError("no nontrivial elements to census")
     words = gr.Words(gens, levels)  # the identity is its element 0
@@ -426,7 +425,8 @@ def dirichlet_side_census(
         raise ParameterError("seed must be nonnegative")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
-    spell, mats = _census_orbit(gens, enum_radius, budget)
+    levels, _ = gr.element_ball(gens, enum_radius, budget)
+    spell, mats = _census_orbit(gens, levels)
 
     back = _ball_frame(center).inverse().matrix
     # one flat product, then stacked ones: bit for bit a per-matrix loop
@@ -527,7 +527,9 @@ def pullback_domain_sides(
 
     Rays stay inside the slice; distances are Bergman distances in the
     ambient space.  The census is run at enum_radius and enum_radius + 2
-    and the stable flag records whether the side sets agree.  The 1-D
+    and the stable flag records whether the side sets agree.  One ball,
+    enumerated at enum_radius + 2, serves both radii: its first
+    enum_radius + 1 levels are the ball at enum_radius.  The 1-D
     models, vertical-axis and horizontal-line, have only the two rays +1
     and -1: they ignore rays and report rays_used == 2, and the rule
     rays >= 100 holds for every model alike.
@@ -535,13 +537,16 @@ def pullback_domain_sides(
     if rays < 100:
         raise ParameterError("need at least 100 rays")
     _check_invariance(gens, model, u0)
-    first = _slice_census(gens, model, u0, enum_radius, rays, margin, budget)
-    second = _slice_census(gens, model, u0, enum_radius + 2, rays, margin, budget)
+    levels, _ = gr.element_ball(gens, enum_radius + 2, budget)
+    first = _slice_census(gens, model, u0, enum_radius, levels[:enum_radius + 1],
+                          rays, margin)
+    second = _slice_census(gens, model, u0, enum_radius + 2, levels, rays, margin)
     return first._replace(stable=first.sides == second.sides)
 
 
-def _slice_census(gens, model, u0, enum_radius, rays, margin, budget):
-    spell, mats = _census_orbit(gens, enum_radius, budget)
+def _slice_census(gens, model, u0, enum_radius, levels, rays, margin):
+    """The slice census over the ball levels, reported at enum_radius."""
+    spell, mats = _census_orbit(gens, levels)
     dim = _model_dim(model)
     n = gens.dim - 1
     ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift

@@ -19,7 +19,10 @@ key hashes often show it before any repeat is confirmed; its kept links
 always do.
 
 Dedup (`_FirstKept`, shared by `element_ball` and `orbit_enumerate`) keeps
-the first word for each element or orbit point.  Items are keyed by their
+the first word for each element or orbit point: the ball a level at a
+time, the orbit in one pass over the whole ball's lifts in word order,
+which keeps what a pass per level would, as a key depends on its item
+alone.  Items are keyed by their
 entries divided by a pivot entry and rounded to 9 digits, and two keys are
 equal when their bytes are.  Only 64-bit key hashes are stored: one sorted
 index of them, with 32-bit back-pointers into the kept stacks, serves every
@@ -136,10 +139,14 @@ class Words:
         self.links = [links for links, _ in levels]
         self.starts = np.cumsum([0] + [len(links) for links in self.links])
 
+    def lengths(self, index):
+        """The word lengths of the elements with these indices."""
+        return np.searchsorted(self.starts, index, side="right") - 1
+
     def take(self, index):
         """The words, as a list of str, of the elements with these indices."""
         index = np.asarray(index, dtype=np.int64)
-        length = np.searchsorted(self.starts, index, side="right") - 1
+        length = self.lengths(index)
         words = np.full(len(index), "", dtype=object)
         for k in set(length.tolist()) - {0}:
             at = np.flatnonzero(length == k)
@@ -505,9 +512,11 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     labeled by the first word (breadth-first, lexicographic) that reaches
     it: a point is dropped when its key equals an earlier point's.  Equal
     keys bound the two lifts' projective gap by about 2.83e-9, and points
-    are never compared otherwise.  Returns an Orbit in that order.  Raises BudgetExceededError
-    carrying the completed radius, before any orbit point is computed, when
-    the enumeration budget runs out.
+    are never compared otherwise.  The lifts of every ball element are
+    decided in one pass, in word order, and Bergman distances are taken
+    for the kept points only.  Returns an Orbit in that order.  Raises
+    BudgetExceededError carrying the completed radius, before any orbit
+    point is computed, when the enumeration budget runs out.
     """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1")
@@ -517,19 +526,15 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     levels, _ = element_ball(gens, max_len, budget)
     base = basepoint.lift
     d = len(base)
-    norm = float(core.herm_inner(base, base).real)
-    seen = _FirstKept(_canonical_rows)
     ball_words = Words(gens, levels)
-    columns = []  # per level: kept ball elements, lifts and distances
-    for start, (_, stack) in zip(ball_words.starts, levels):
-        lifts = (stack.reshape(-1, d) @ base).reshape(-1, d)
-        # the lifts are images of the basepoint, so every norm is its norm
-        dists = core._bergman_distances(lifts, base[None, :], norm, norm)[:, 0]
-        keep, kept = seen.keep(lifts)
-        columns.append((start + keep, kept, dists[keep]))
-    elements, lifts, dists = (np.concatenate(c) for c in zip(*columns))
-    lengths = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
-    return Orbit(lengths, lifts, dists, elements, ball_words)
+    # the whole ball's lifts in word order, one level's product at a time
+    lifts = np.concatenate([(stack.reshape(-1, d) @ base).reshape(-1, d)
+                            for _, stack in levels])
+    elements, kept = _FirstKept(_canonical_rows).keep(lifts)
+    norm = float(core.herm_inner(base, base).real)
+    # the lifts are images of the basepoint, so every norm is its norm
+    dists = core._bergman_distances(kept, base[None, :], norm, norm)[:, 0]
+    return Orbit(ball_words.lengths(elements), kept, dists, elements, ball_words)
 
 
 def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):

@@ -226,6 +226,15 @@ class TestAmalgamSpec:
                 hnn_partner=real_loxodromic(1.5),
             )
 
+    def test_g_alpha_is_classified_once(self, monkeypatch):
+        # the class check and the fixed points share one trace class
+        calls = []
+        real = core._trace_class
+        monkeypatch.setattr(core, "_trace_class",
+                            lambda mat: calls.append(mat.tobytes()) or real(mat))
+        spec = hnn_spec()
+        assert calls.count(spec.g_alpha.matrix.tobytes()) == 1
+
     def test_group_one_must_be_real(self):
         ga = hb.embed_dilation(np.exp(0.5))
         complex_gens = gr.GroupGens([("a", bd.unitary_rotation(0.5) @ ga)])

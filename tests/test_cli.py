@@ -144,6 +144,46 @@ def test_classify_cube_of_a_schottky_generator(tmp_path):
     assert len(result["boundary_fixed_points"]) == 2
 
 
+def test_classify_conjugated_vertical_translation_prints_a_null_point(tmp_path):
+    # the point printed u = -1.37e-6, which HoroPoint rejects
+    g = (hb.embed_translation(0.3 + 0.2j, 0.7) @ hb.embed_dilation(np.exp(6.0))
+         @ hb.inversion_matrix())
+    m = g @ hb.embed_translation(0.0, 1.0) @ g.inverse()
+    path = tmp_path / "conjugated.json"
+    path.write_text(json.dumps([matrix_as_pairs(m.matrix)]))
+    result = payload_of(["--command", "classify", "--preset", str(path)])["results"][0]
+    assert result["class"] == "parabolic"
+    (point,) = result["boundary_fixed_points"]
+    assert point["u"] >= 0.0
+    xi = np.add(point["xi_re"], np.multiply(1j, point["xi_im"]))
+    horo = hb.HoroPoint(xi, point["v"], point["u"])
+    fixed = hb.horo_to_projective(horo)
+    assert core.projective_lift_gap(
+        fixed.lift, core.projective_apply(g, core.infinity_point()).lift) <= 1.2e-6
+
+
+def test_classify_runs_one_trace_class_and_one_eigvals_per_matrix(monkeypatch):
+    calls = []
+    real_trace, real_eigvals = core._trace_class, np.linalg.eigvals
+
+    def trace_class(mat):
+        calls.append(("trace", mat.tobytes()))
+        return real_trace(mat)
+
+    def eigvals(mat):
+        calls.append(("eigvals", np.asarray(mat).tobytes()))
+        return real_eigvals(mat)
+
+    monkeypatch.setattr(core, "_trace_class", trace_class)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    results = payload_of(["--command", "classify", "--preset", "schottky"])["results"]
+    assert [r["class"] for r in results] == ["loxodromic", "loxodromic"]
+    mats = [iso.matrix.tobytes() for iso in ps.group_preset("schottky").isometries]
+    assert [kind for kind, _ in calls].count("trace") == len(mats)
+    for mat in mats:
+        assert calls.count(("trace", mat)) == calls.count(("eigvals", mat)) == 1
+
+
 def test_classify_4x4_file_exits_2_with_dimension_error(tmp_path):
     path = tmp_path / "n3.json"
     mat = hb.embed_dilation(np.exp(0.5), n=3).matrix

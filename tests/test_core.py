@@ -254,18 +254,37 @@ def test_fixed_points_dilation():
     assert any(p.projectively_equal(origin) for p in pts)
 
 
-def test_fixed_points_conjugated_vertical_translation():
+@pytest.mark.parametrize("xi", [0.3 + 0.2j, 3.0 + 0.2j])
+def test_fixed_points_conjugated_vertical_translation(xi):
     # a parabolic whose eigenspace is two-dimensional keeps its one point,
-    # here far from the origin
-    g = (hb.embed_translation(0.3 + 0.2j, 0.7) @ hb.embed_dilation(np.exp(6.0))
+    # here far from the origin, inside and outside the unit Cygan sphere
+    g = (hb.embed_translation(xi, 0.7) @ hb.embed_dilation(np.exp(6.0))
          @ hb.inversion_matrix())
     m = g @ hb.embed_translation(0.0, 1.0) @ g.inverse()
     assert core.classify_isometry(m) == "parabolic"
     pts = core.boundary_fixed_points(m)
     assert len(pts) == 1
     # m is within 1e-5 of the identity, so its point is good to about 1e-6
-    assert pts[0].projectively_equal(core.projective_apply(g, core.infinity_point()), tol=1e-5)
+    want = core.projective_apply(g, core.infinity_point())
+    assert core.projective_lift_gap(pts[0].lift, want.lift) <= 1.2e-6
     assert core.projective_apply(m, pts[0]).projectively_equal(pts[0], tol=1e-8)
+    # its kernel is null to about 1e-6 only, which read as u = -1.37e-6
+    # at xi = 0.3 + 0.2i; the point is moved onto the null cone
+    assert core.point_class(pts[0]) == "null"
+    assert hb.projective_to_horo(pts[0]).u >= 0.0
+
+
+@pytest.mark.parametrize("xi", [30.0, 100.0])
+def test_fixed_points_far_parabolic_keep_their_digits(xi):
+    # outside the unit Cygan sphere the step onto the null cone goes along
+    # the null line through the origin; the one through infinity lost two
+    # digits here
+    g = hb.embed_translation(xi + 0.2j, 0.7) @ hb.inversion_matrix()
+    m = g @ hb.embed_translation(0.0, 1.0) @ g.inverse()
+    (point,) = core.boundary_fixed_points(m)
+    assert core.point_class(point) == "null"
+    want = core.projective_apply(g, core.infinity_point())
+    assert core.projective_lift_gap(point.lift, want.lift) <= 1e-15
 
 
 def test_fixed_points_complex_reflection_in_a_point():

@@ -38,6 +38,25 @@ def z2_lattice():
     )
 
 
+def census_orbit(gens, radius, budget=gr.DEFAULT_BUDGET):
+    """dm._census_orbit over the ball of the given radius."""
+    return dm._census_orbit(gens, gr.element_ball(gens, radius, budget)[0])
+
+
+def slice_census(gens, model, u0, radius, rays, margin, budget):
+    """dm._slice_census over the ball of the given radius."""
+    levels, _ = gr.element_ball(gens, radius, budget)
+    return dm._slice_census(gens, model, u0, radius, levels, rays, margin)
+
+
+def half_turn():
+    """The order-2 group of the half-turn about the vertical line through
+    (1, 0): x -> 2 - x on the horizontal line."""
+    g = (hb.embed_translation(1.0, 0.0) @ hb.embed_rotation(np.array([[-1.0 + 0j]]))
+         @ hb.embed_translation(-1.0, 0.0))
+    return gr.GroupGens([("a", g)], involutive="a")
+
+
 def slab_center(u=1.0):
     return core.ProjectivePoint(
         hb.horo_to_projective(hb.HoroPoint(np.zeros(1), 0.0, u)).lift
@@ -162,6 +181,64 @@ class TestPullbackDomain:
     def test_wrong_model_rejected(self):
         with pytest.raises(InvarianceError):
             dm.pullback_domain_sides(cyclic_horizontal(), "vertical-axis", 1.0, 2)
+
+    def test_one_ball_serves_both_radii(self, monkeypatch):
+        # the R census takes the first R + 1 levels of the one R + 2 ball
+        calls, censused = [], []
+        real_ball, real_orbit = gr.element_ball, dm._census_orbit
+
+        def element_ball(gens, max_len, *args):
+            calls.append(max_len)
+            return real_ball(gens, max_len, *args)
+
+        def census_orbit(gens, levels):
+            censused.append(len(levels))
+            return real_orbit(gens, levels)
+
+        monkeypatch.setattr(gr, "element_ball", element_ball)
+        monkeypatch.setattr(dm, "_census_orbit", census_orbit)
+        census = dm.pullback_domain_sides(z2_lattice(), "full-horizontal", 1.0, 3,
+                                          rays=720)
+        assert calls == [5]
+        assert censused == [4, 6]
+        assert census.enumeration_radius == 3
+
+    @pytest.mark.parametrize("make_gens, model, radius", [
+        (cyclic_vertical, "vertical-axis", 2), (cyclic_horizontal, "horizontal-line", 3),
+        (z2_lattice, "full-horizontal", 3), (half_turn, "horizontal-line", 3)])
+    def test_equals_one_census_per_radius(self, make_gens, model, radius):
+        # each census as if over its own ball; the half-turn's ball ends at
+        # length 1, before either radius
+        gens = make_gens()
+        first, second = (slice_census(gens, model, 1.0, r, 720, dm.SIDE_MARGIN,
+                                      gr.DEFAULT_BUDGET) for r in (radius, radius + 2))
+        census = dm.pullback_domain_sides(gens, model, 1.0, radius, rays=720)
+        assert census == first._replace(stable=first.sides == second.sides)
+        assert census.enumeration_radius == radius
+
+    def test_budget_failure_at_the_radius_of_a_census_per_radius(self):
+        # z2's ball fails at each radius up to 4 over these budgets; a
+        # census per radius raised at the R ball's radius, else the R + 2's
+        gens = z2_lattice()
+
+        def completed(radius, budget):
+            try:
+                gr.element_ball(gens, radius, budget)
+            except BudgetExceededError as err:
+                return err.completed_radius
+
+        seen = set()
+        for budget in range(2, 70, 3):
+            want = completed(3, budget)
+            want = completed(5, budget) if want is None else want
+            if want is None:
+                continue
+            with pytest.raises(BudgetExceededError) as err:
+                dm.pullback_domain_sides(gens, "full-horizontal", 1.0, 3, rays=720,
+                                         budget=budget)
+            assert err.value.completed_radius == want
+            seen.add(want)
+        assert seen == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("rays", [0, -3, 99])
     def test_too_few_rays_rejected_before_enumerating(self, rays, monkeypatch):
@@ -507,14 +584,14 @@ SLICE_CASES = [
                          ids=[model for _, model, _ in SLICE_CASES])
 def test_slice_census_matches_reference(make_gens, model, rays, u0, radius):
     args = (make_gens(), model, u0, radius, rays, dm.SIDE_MARGIN, gr.DEFAULT_BUDGET)
-    _same_census_up_to_bisection(dm._slice_census(*args), ref_slice_census(*args))
+    _same_census_up_to_bisection(slice_census(*args), ref_slice_census(*args))
 
 
 def slice_rays(gens, model, u0, radius, dirs):
     """The center lift, orbit lifts, z1 and z2 that _slice_census passes to
     _slice_exits for rays along dirs, and the lifts at slice coordinates."""
     n = gens.dim - 1
-    _, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    _, mats = census_orbit(gens, radius)
     c = hb.horo_to_projective(dm._slice_point(model, (0.0,) * dirs.shape[1], u0, n)).lift
 
     def lifts(coords):
@@ -578,7 +655,7 @@ def test_slice_census_peak_memory_is_bounded_by_chunks():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dm._slice_census(*args)
+        slice_census(*args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -629,7 +706,7 @@ def test_horo_lifts_equal_old_scalar_formula(xi_parts, v, u):
 def test_stacked_orbit_lifts_equal_per_matrix_loop(preset):
     # the stack products dirichlet_side_census and _slice_census use
     gens = ps.group_preset(preset)
-    _, mats = dm._census_orbit(gens, 4, gr.DEFAULT_BUDGET)
+    _, mats = census_orbit(gens, 4)
     off_axis = core.ProjectivePoint(np.array([0.3 + 0.1j, -0.2j, 1.0]))
     for center in (cli._ball_origin(gens.dim), slab_center(0.7), off_axis):
         back = dm._ball_frame(center).inverse().matrix
@@ -642,10 +719,11 @@ def test_stacked_orbit_lifts_equal_per_matrix_loop(preset):
 
 def test_census_orbit_errors():
     with pytest.raises(BudgetExceededError) as info:
-        dm._census_orbit(ps.group_preset("schottky"), 6, budget=100)
+        dm.dirichlet_side_census(ps.group_preset("schottky"), cli._ball_origin(3), 6,
+                                 budget=100)
     assert info.value.completed_radius < 6
     with pytest.raises(DegenerateInputError):
-        dm._census_orbit(ps.group_preset("schottky"), 0, gr.DEFAULT_BUDGET)
+        census_orbit(ps.group_preset("schottky"), 0)
 
 
 def test_chord_lifts_stay_timelike_far_out():
@@ -771,7 +849,7 @@ def _same_census_bits(got, want):
 
 def ref_ball_census(gens, center, radius, rays=dm.DEFAULT_RAYS, seed=0):
     """The ball census as the reference march computes it."""
-    spell, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    spell, mats = census_orbit(gens, radius)
     words = spell(np.arange(len(mats)))
     back = dm._ball_frame(center).inverse().matrix
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
@@ -880,7 +958,7 @@ def test_triangle_inequality_bounds_hold_within_the_slack(tmp_path, preset,
     # these cases is 1.1e-16, on dilation's nearest images
     gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
             else ps.group_preset(preset))
-    spell, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    spell, mats = census_orbit(gens, radius)
     origin = cli._ball_origin(gens.dim).lift
     orbit = mats @ origin
     reach, horizon = dm._horizon(spell, origin, orbit, -1.0)
@@ -1093,7 +1171,7 @@ def test_ball_frame_is_a_transvection_to_the_center():
 
 def _ball_orbit(preset, radius, center):
     gens = ps.group_preset(preset)
-    _, mats = dm._census_orbit(gens, radius, gr.DEFAULT_BUDGET)
+    _, mats = census_orbit(gens, radius)
     back = dm._ball_frame(center).inverse().matrix
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
     norm = float(core.herm_inner(center.lift, center.lift).real)

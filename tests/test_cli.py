@@ -618,6 +618,49 @@ def test_unknown_preset_exits_2():
     assert rc == 2
 
 
+_ONE = [1.0, 0.0]
+_ZERO = [0.0, 0.0]
+
+
+# (argv, generator file text or None, start of the message); {file} is a
+# file holding that text, or with no text a directory, which open() refuses
+@pytest.mark.parametrize("argv,text,message", [
+    (["--command", "orbit"], None, "--preset is required"),
+    (["--command", "bend", "--preset", "nope"], None, "unknown bend preset 'nope'"),
+    (["--command", "packing", "--preset", "nope"], None,
+     "unknown packing preset 'nope'"),
+    (["--command", "orbit", "--preset", "{file}"], None,
+     "cannot read generator file"),
+    (["--command", "orbit", "--preset", "{file}"], "{not json",
+     "generator file is not valid JSON"),
+    (["--command", "orbit", "--preset", "{file}"], "{}",
+     "generator file must be a nonempty JSON array"),
+    (["--command", "orbit", "--preset", "{file}"], "[]",
+     "generator file must be a nonempty JSON array"),
+    (["--command", "orbit", "--preset", "{file}"], '[[["a", "b"]]]',
+     "generator file entries are not numeric"),
+    (["--command", "orbit", "--preset", "{file}"], json.dumps([[_ONE, _ZERO, _ONE]]),
+     "flat matrix length is not a perfect square"),
+    (["--command", "orbit", "--preset", "{file}"], "[[1, 0, 0]]",
+     "matrix entries must be [re, im] pairs"),
+    (["--command", "bend", "--eta-grid", "0,x"], None,
+     "--eta-grid is not a comma-separated float list"),
+], ids=["no-preset", "bend-preset", "packing-preset", "unreadable-file",
+        "not-json", "json-object", "empty-array", "non-numeric", "flat-not-square",
+        "other-shape", "eta-grid"])
+def test_input_errors_exit_2_with_input_error(tmp_path, argv, text, message):
+    path = tmp_path / "gens.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    rc, out, err = run_cli([arg.format(file=path) for arg in argv])
+    assert rc == 2 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "InputError" and info["exit"] == 2
+    assert info["message"].startswith(message)
+
+
 def test_json_determinism_same_seed():
     args = ["--command", "dirichlet", "--preset", "z2-lattice",
             "--radius", "3", "--rays", "300", "--seed", "5"]

@@ -37,19 +37,7 @@ EXIT_INPUT = 2
 TOL_ENV = "CHGEOM_TOL"
 DEFAULT_TOL = 1e-6
 
-COMMANDS = ("classify", "dirichlet", "bend", "orbit", "limitset", "packing",
-            "profile")
 _READS_TOL = ("dirichlet", "bend")
-
-_FORMATS = {
-    "classify": ("json",),
-    "dirichlet": ("json", "csv"),
-    "bend": ("json", "csv", "svg"),
-    "orbit": ("json",),
-    "limitset": ("json",),
-    "packing": ("json",),
-    "profile": ("json", "csv"),
-}
 
 
 def _parse_args(argv):
@@ -68,7 +56,7 @@ def _parse_args(argv):
     p.add_argument("--radius", type=float, default=None,
                    help="enumeration radius (dirichlet) or sample window "
                         "radius (limitset)")
-    p.add_argument("--rays", type=int, default=2000)
+    p.add_argument("--rays", type=int, default=dr.DEFAULT_RAYS)
     p.add_argument("--depth", type=int, default=None,
                    help="maximum word length")
     p.add_argument("--eta-grid", default="-0.2,-0.1,-0.05,0,0.05,0.1,0.2",
@@ -80,7 +68,8 @@ def _parse_args(argv):
                         f"{DEFAULT_TOL}, or the {TOL_ENV} environment "
                         f"variable)")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", default="json", choices=("json", "csv", "svg"))
+    views = dict.fromkeys(f for formats in _VIEWS.values() for f in formats)
+    p.add_argument("--format", default="json", choices=("json", *views))
     return p.parse_args(argv)
 
 
@@ -267,13 +256,19 @@ def _cmd_dirichlet(args, tol):
     }
 
 
+def _named_preset(args, kind, names, build, default):
+    """(name, build(name)) of the bundled preset that --preset names, or of
+    default when --preset is absent."""
+    name = args.preset or default
+    if name not in names:
+        raise InputError(f"unknown {kind} preset {name!r} (expected one of "
+                         f"{', '.join(names)})")
+    return name, build(name)
+
+
 def _cmd_bend(args, tol):
-    preset = args.preset or "hnn-bend"
-    if preset not in ps.BEND_PRESETS:
-        raise InputError(
-            f"unknown bend preset {preset!r} (expected one of "
-            f"{', '.join(ps.BEND_PRESETS)})")
-    spec = ps.bend_preset(preset)
+    preset, spec = _named_preset(args, "bend", ps.BEND_PRESETS, ps.bend_preset,
+                                 "hnn-bend")
     _check_n(args, spec.g_alpha.n, f"preset {preset}")
     grid = _parse_eta_grid(args.eta_grid)
     report = bd.bend_sweep(spec, grid, zeta=args.zeta, probe_tol=tol,
@@ -340,12 +335,8 @@ def _cmd_limitset(args, tol):
 
 
 def _cmd_packing(args, tol):
-    preset = args.preset or "two-sphere"
-    if preset not in ps.PACKING_PRESETS:
-        raise InputError(
-            f"unknown packing preset {preset!r} (expected one of "
-            f"{', '.join(ps.PACKING_PRESETS)})")
-    packing = ps.packing_preset(preset)
+    preset, packing = _named_preset(args, "packing", ps.PACKING_PRESETS,
+                                    ps.packing_preset, "two-sphere")
     _check_n(args, packing.spheres[0][0].n, f"preset {preset}")
     gens, cert = gr.packing_inversion_group(packing)
     return {
@@ -377,26 +368,23 @@ _DISPATCH = {
     "packing": _cmd_packing,
     "profile": _cmd_profile,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
-def _to_csv(command, payload):
-    lines = []
-    if command == "profile":
-        lines.append("length,dmin,dmax")
-        for l, dmin, dmax in payload["rows"]:
-            lines.append(f"{l},{dmin!r},{dmax!r}")
-    elif command == "bend":
-        lines.append("eta,cartan_alpha,probe_pass,min_word_gap")
-        for row in payload["rows"]:
-            lines.append(f"{row['eta']!r},{row['cartan_alpha']!r},"
-                         f"{int(row['probe_pass'])},{row['min_word_gap']!r}")
-    elif command == "dirichlet":
-        lines.append("side,margin")
-        for w in payload["sides"]:
-            lines.append(f"{w},{payload['margins'][w]!r}")
-    else:
-        raise InputError(f"{command} has no CSV projection")
-    return "\n".join(lines) + "\n"
+def _dirichlet_csv(payload):
+    return "side,margin\n" + "".join(f"{w},{payload['margins'][w]!r}\n"
+                                      for w in payload["sides"])
+
+
+def _bend_csv(payload):
+    return "eta,cartan_alpha,probe_pass,min_word_gap\n" + "".join(
+        f"{row['eta']!r},{row['cartan_alpha']!r},{int(row['probe_pass'])},"
+        f"{row['min_word_gap']!r}\n" for row in payload["rows"])
+
+
+def _profile_csv(payload):
+    return "length,dmin,dmax\n" + "".join(f"{l},{dmin!r},{dmax!r}\n"
+                                           for l, dmin, dmax in payload["rows"])
 
 
 _SVG_PALETTE = ("#1b6ca8", "#c4452c", "#2c8c4a", "#8246af", "#b58900",
@@ -432,9 +420,7 @@ def _svg_panel(points_xy, x0, width, title):
     return out
 
 
-def _to_svg(command, payload):
-    if command != "bend":
-        raise InputError(f"{command} has no SVG projection")
+def _bend_svg(payload):
     plane = []
     vertical = []
     for row in payload["rows"]:
@@ -453,6 +439,14 @@ def _to_svg(command, payload):
                            "boundary samples, (|xi|^2, v) plane"))
     body.append("</svg>")
     return "\n".join(body) + "\n"
+
+
+# the renderers of each command beside JSON, which every command has
+_VIEWS = {
+    "dirichlet": {"csv": _dirichlet_csv},
+    "bend": {"csv": _bend_csv, "svg": _bend_svg},
+    "profile": {"csv": _profile_csv},
+}
 
 
 # with indent unset, json hands a whole list to its C encoder; "\x00" can
@@ -516,14 +510,6 @@ def _json_cells(values, indent):
     return cells
 
 
-def _render(args, payload):
-    if args.format == "json":
-        return _canonical_json(payload)
-    if args.format == "csv":
-        return _to_csv(args.command, payload)
-    return _to_svg(args.command, payload)
-
-
 def _error_json(code, exc, **extra):
     info = {"type": type(exc).__name__,
             "message": str(exc), "exit": code}
@@ -545,14 +531,14 @@ def main(argv=None):
     gc.freeze()
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        if args.format not in _FORMATS[args.command]:
+        views = {"json": _canonical_json, **_VIEWS.get(args.command, {})}
+        if args.format not in views:
             raise InputError(
                 f"format {args.format!r} is not available for {args.command} "
-                f"(choose from {', '.join(_FORMATS[args.command])})")
+                f"(choose from {', '.join(views)})")
         _check_numeric_flags(args)
         tol = _resolve_tol(args)
-        payload = _DISPATCH[args.command](args, tol)
-        text = _render(args, payload)
+        text = views[args.format](_DISPATCH[args.command](args, tol))
     except GeometryError as e:
         # any other exception is a bug and keeps its traceback
         print(_error_json(e.exit_code, e, **e.json_fields()), file=sys.stderr)

@@ -153,12 +153,10 @@ def point_class(p, tol=NULL_TOL):
     return "negative" if q < 0 else "positive"
 
 
-def form_defect(matrix, n=None):
+def form_defect(matrix):
     """Sup-norm of M* J M - J, the obstruction to preserving the form."""
     matrix = np.asarray(matrix, dtype=complex)
-    if n is None:
-        n = matrix.shape[0] - 1
-    j = form_matrix(n)
+    j = form_matrix(matrix.shape[0] - 1)
     return float(np.max(np.abs(matrix.conj().T @ j @ matrix - j)))
 
 

@@ -423,6 +423,7 @@ def dirichlet_side_census(
         raise ParameterError("need at least 100 rays")
     if seed < 0:
         raise ParameterError("seed must be nonnegative")
+    gens.check_dim(center, "census center")
     if core.point_class(center) != "negative":
         raise DegenerateInputError("census center must be an interior point")
     levels, _ = gr.element_ball(gens, enum_radius, budget)

@@ -73,7 +73,8 @@ class GroupGens:
     labels are single symbols; the inverse of label 'a' is written 'A'
     (swapcase), except labels in `involutive`, which square to the identity
     and serve as their own inverse.  labels and isometries are tuples,
-    involutive a frozenset.
+    involutive a frozenset.  The isometries act on one ball: generators of
+    different sizes raise DimensionError.
     """
 
     __slots__ = ("labels", "isometries", "involutive")
@@ -90,6 +91,8 @@ class GroupGens:
             isos.append(iso)
         if not labels:
             raise DegenerateInputError("empty generator set")
+        if len({iso.n for iso in isos}) > 1:
+            raise DimensionError("generators act on balls of different dimensions")
         if len(set(labels)) != len(labels):
             raise ParameterError("generator labels must be unique")
         inv = frozenset(involutive)
@@ -111,6 +114,12 @@ class GroupGens:
     @property
     def dim(self):
         return self.isometries[0].matrix.shape[0]
+
+    def check_dim(self, point, role):
+        """Raise DimensionError unless the point has dim coordinates."""
+        if len(point.lift) != self.dim:
+            raise DimensionError(f"{role} has {len(point.lift)} coordinates, "
+                                 f"but the group acts on {self.dim}")
 
     def alphabet(self):
         """Sorted (symbol, matrix) pairs for generators and their inverses."""
@@ -201,12 +210,8 @@ class HeisCloud:
     def __getitem__(self, i):
         return hb.HeisPoint(self.xi[i], self.v[i])
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
-
-def _canonical_rows(items, digits=9):
+def _canonical_rows(items):
     """Scale-and-phase canonical rounded rows for projective dedup.
 
     Each item, a vector or a flattened matrix, is divided by its pivot
@@ -223,7 +228,7 @@ def _canonical_rows(items, digits=9):
     whisker *= 1.0 - 1e-6
     pivot = np.argmax(mag >= whisker[:, None], axis=1)
     canon = (flat / flat[np.arange(len(flat)), pivot][:, None]).view(float)
-    return np.round(canon, digits, out=canon)
+    return np.round(canon, 9, out=canon)
 
 
 _MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
@@ -520,6 +525,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
     """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1")
+    gens.check_dim(basepoint, "basepoint")
     if core.point_class(basepoint) != "negative":
         raise DegenerateInputError("basepoint must be an interior point")
 
@@ -658,6 +664,8 @@ def limit_set_sample(gens, depth, seeds, budget=DEFAULT_BUDGET):
         raise ParameterError("depth must be >= 1")
     if not len(seeds):
         raise ParameterError("need at least one seed")
+    for seed in seeds:
+        gens.check_dim(seed, "seed")
     levels, _ = element_ball(gens, depth, budget)
     if depth >= len(levels):
         raise DegenerateInputError("no reduced words at the requested depth")

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -189,6 +190,21 @@ def test_classify_4x4_file_exits_2_with_dimension_error(tmp_path):
     mat = hb.embed_dilation(np.exp(0.5), n=3).matrix
     path.write_text(json.dumps([matrix_as_pairs(mat)]))
     rc, out, err = run_cli(["--command", "classify", "--preset", str(path)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "DimensionError"
+
+
+@pytest.mark.parametrize("command,sizes", [
+    ("orbit", (2, 3)), ("dirichlet", (2, 3)), ("limitset", (3,)),
+])
+def test_group_file_of_mismatched_dimension_exits_2(tmp_path, command, sizes):
+    # generators of different sizes, or n = 3 generators for the n = 2
+    # boundary seeds of limitset
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([matrix_as_pairs(hb.embed_dilation(2.0, n=n).matrix)
+                                for n in sizes]))
+    rc, out, err = run_cli(["--command", command, "--preset", str(path),
+                            "--radius", "2", "--rays", "100", "--depth", "2"])
     assert rc == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "DimensionError"
 
@@ -631,8 +647,6 @@ _ZERO = [0.0, 0.0]
      "unknown packing preset 'nope'"),
     (["--command", "orbit", "--preset", "{file}"], None,
      "cannot read generator file"),
-    (["--command", "orbit", "--preset", "{file}"], "{not json",
-     "generator file is not valid JSON"),
     (["--command", "orbit", "--preset", "{file}"], "{}",
      "generator file must be a nonempty JSON array"),
     (["--command", "orbit", "--preset", "{file}"], "[]",
@@ -646,7 +660,7 @@ _ZERO = [0.0, 0.0]
     (["--command", "bend", "--eta-grid", "0,x"], None,
      "--eta-grid is not a comma-separated float list"),
 ], ids=["no-preset", "bend-preset", "packing-preset", "unreadable-file",
-        "not-json", "json-object", "empty-array", "non-numeric", "flat-not-square",
+        "json-object", "empty-array", "non-numeric", "flat-not-square",
         "other-shape", "eta-grid"])
 def test_input_errors_exit_2_with_input_error(tmp_path, argv, text, message):
     path = tmp_path / "gens.json"
@@ -724,14 +738,32 @@ def test_canonical_json_non_str_keys_as_json_dumps(obj):
     assert _raises_or_text(cli._canonical_json, obj) == _raises_or_text(_dumps, obj)
 
 
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def _readme_commands():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(_README) as fh:
         return [line.split()[1:] for line in fh if line.startswith("chgeom --command")]
 
 
 def test_readme_lists_every_command():
     assert sorted({argv[1] for argv in _readme_commands()}) == sorted(cli.COMMANDS)
+
+
+def test_readme_lists_every_view():
+    # "CSV is available for `profile` (`length,dmin,dmax`), ... SVG is
+    # available for `bend` ...": each CSV command with its header line
+    with open(_README) as fh:
+        text = " ".join(fh.read().split())
+    csv, svg = text.split("CSV is available for ")[1].split(" SVG is available for ")
+    svg = svg.split(".")[0]
+    empty = {"rows": [], "sides": [], "margins": {}}
+    assert {f for views in cli._VIEWS.values() for f in views} == {"csv", "svg"}
+    assert dict(re.findall(r"`(\w+)` \(`([^`]+)`\)", csv)) == {
+        command: views["csv"](empty).rstrip("\n")
+        for command, views in cli._VIEWS.items() if "csv" in views}
+    assert set(re.findall(r"`(\w+)`", svg)) == {
+        command for command, views in cli._VIEWS.items() if "svg" in views}
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])

@@ -254,6 +254,18 @@ def test_fixed_points_dilation():
     assert any(p.projectively_equal(origin) for p in pts)
 
 
+@pytest.mark.parametrize("xi,v", [(1.0, 0.0), (0.3 + 0.2j, 0.7)])
+def test_fixed_points_of_a_one_column_kernel(xi, v):
+    # a translation with a horizontal part is one Jordan block: M - I has
+    # rank 2 and its kernel, the lift of infinity, is a single column
+    m = hb.embed_translation(xi, v)
+    _, tag, kernel = core._classified(m)
+    assert tag == "parabolic" and kernel.shape[1] == 1
+    (point,) = core.boundary_fixed_points(m)
+    assert point.projectively_equal(core.infinity_point())
+    assert core.point_class(point) == "null"
+
+
 @pytest.mark.parametrize("xi", [0.3 + 0.2j, 3.0 + 0.2j])
 def test_fixed_points_conjugated_vertical_translation(xi):
     # a parabolic whose eigenspace is two-dimensional keeps its one point,

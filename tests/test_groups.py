@@ -16,6 +16,7 @@ from chgeom import presets as ps
 from chgeom.errors import (
     BudgetExceededError,
     DegenerateInputError,
+    DimensionError,
     FormViolationError,
     InvalidPackingError,
     InvalidPointError,
@@ -86,6 +87,12 @@ class TestGroupGens:
         # before any caller stacks no matrices or asks for a dimension
         with pytest.raises(DegenerateInputError, match="empty generator set"):
             gr.GroupGens([])
+
+    def test_generators_of_different_sizes_rejected(self):
+        # before element_ball stacks a 3x3 and a 4x4 matrix
+        a, b = hb.embed_dilation(2.0), hb.embed_dilation(2.0, n=3)
+        with pytest.raises(DimensionError, match="different dimensions"):
+            gr.GroupGens([("a", a), ("b", b)])
 
     def test_alphabet_includes_inverses(self):
         gens = z2_lattice()
@@ -169,6 +176,18 @@ class TestOrbitEnumerate:
             with pytest.raises(InvalidPointError):
                 gr.Orbit(np.array([0, 1]), np.array(bad, dtype=complex),
                          np.zeros(2), np.arange(2), None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gens, p: gr.orbit_enumerate(gens, 2, p),
+    lambda gens, p: gr.word_metric_profile(gens, 2, p),
+    lambda gens, p: gr.limit_set_sample(gens, 2, [p]),
+    lambda gens, p: dm.dirichlet_side_census(gens, p, 2, rays=100),
+], ids=["orbit", "profile", "limitset", "census"])
+@pytest.mark.parametrize("lift", [[0, 1], [0, 0, 0, 1]], ids=["n1", "n3"])
+def test_point_of_another_dimension_raises_dimension_error(call, lift):
+    with pytest.raises(DimensionError, match="but the group acts on 3$"):
+        call(z2_lattice(), core.ProjectivePoint(np.array(lift, dtype=complex)))
 
 
 class TestWordMetricProfile:
@@ -1124,6 +1143,15 @@ class TestLimitSet:
         assert len(cloud) == 2
         p = cloud[1]
         assert isinstance(p, hb.HeisPoint) and p.v == -1.0
+
+    def test_cloud_iterates_by_index(self):
+        # the sequence protocol: __getitem__ until numpy raises IndexError
+        cloud = gr.HeisCloud(np.array([[1j], [2.0 + 0j], [-3j]]), np.array([0.5, -1.0, 2.0]))
+        points = list(cloud)
+        assert len(points) == len(cloud)
+        for i, p in enumerate(points):
+            assert isinstance(p, hb.HeisPoint)
+            assert np.array_equal(p.xi, cloud[i].xi) and p.v == cloud[i].v
 
 
 class TestBoxDim:

@@ -190,12 +190,6 @@ def _meta(args, **extra):
     return meta
 
 
-def _ball_origin(dim):
-    lift = np.zeros(dim, dtype=complex)
-    lift[-1] = 1.0
-    return core.ProjectivePoint(lift)
-
-
 def _points_payload(lifts, **columns):
     """JSON fields of the points of a (k, n+1) lift stack, one dict per row.
 
@@ -240,7 +234,7 @@ def _cmd_dirichlet(args, tol):
         raise InputError("--radius must be an integral enumeration radius >= 1")
     census = dr.dirichlet_side_census(
         gens,
-        _ball_origin(gens.dim),
+        core.ball_origin(gens.dim - 1),
         int(radius),
         rays=args.rays,
         seed=args.seed,
@@ -310,7 +304,7 @@ def _finite(value, flag):
 
 def _cmd_orbit(args, tol):
     gens = _resolve_group(args, ps.GROUP_PRESETS)
-    orbit = gr.orbit_enumerate(gens, args.depth or 4, _ball_origin(gens.dim))
+    orbit = gr.orbit_enumerate(gens, args.depth or 4, core.ball_origin(gens.dim - 1))
     points = _points_payload(orbit.lifts, word=orbit.words,
                              word_length=orbit.word_lengths.tolist(),
                              distance=orbit.distances.tolist())

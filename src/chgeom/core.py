@@ -139,6 +139,13 @@ def infinity_point(n=2):
     return ProjectivePoint(lift)
 
 
+def ball_origin(n=2):
+    """The origin of the ball model, lift (0, ..., 0, 1)."""
+    lift = np.zeros(n + 1, dtype=complex)
+    lift[n] = 1.0
+    return ProjectivePoint(lift)
+
+
 def point_class(p, tol=NULL_TOL):
     """Sign class of a projective point: 'negative', 'null' or 'positive'.
 

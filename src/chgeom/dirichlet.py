@@ -24,9 +24,11 @@ for n = 2); a seed shifts the points modulo 1 (Cranley and Patterson, SIAM
 J. Numer. Anal. 13, 1976).
 
 The slice census follows straight lines t -> t u in the coordinates of an
-invariant slice (see parabolic_projection), which are not geodesics.  Their
-lifts x(t) = c + t z1 + t^2 z2 are quadratic in t, with z2 on the line of
-infinity.  As <g c, g c> = <c, c>, an image g c beats x(t) when
+invariant slice: the points (xi, v, u0) that are 0 off the columns of
+(Re xi_1, v) that _SLICES lists for the model.  The lines are not
+geodesics, and their lifts x(t) = c + t z1 + t^2 z2 are quadratic in t,
+with z2 on the line of infinity.  As <g c, g c> = <c, c>, an image g c
+beats x(t) when
 
     D(t) = |<x, g c>|^2 - |<x, c>|^2 < 0.
 
@@ -435,9 +437,8 @@ def dirichlet_side_census(
     lifts = (mats.reshape(-1, d) @ center.lift).reshape(-1, d, 1)
     orbit_lifts = (back @ lifts)[..., 0]
     cnorm = float(core.herm_inner(center.lift, center.lift).real)
-    origin = np.zeros(orbit_lifts.shape[1], dtype=complex)
-    origin[-1] = 1.0
-    reach, horizon = _horizon(spell, origin, orbit_lifts, cnorm)
+    reach, horizon = _horizon(spell, core.ball_origin(d - 1).lift, orbit_lifts,
+                              cnorm)
     dirs = _ray_directions(rays, 2 * (orbit_lifts.shape[1] - 1), seed=seed)
     s = _ball_exits(dirs, orbit_lifts, cnorm, reach)
     crossed = s < horizon
@@ -446,73 +447,41 @@ def dirichlet_side_census(
                     -1.0, rays, margin, enum_radius)
 
 
-def parabolic_projection(p, model, u0):
-    """Equivariant projection onto the invariant model at slice height u0.
-
-    vertical-axis keeps v, horizontal-line keeps the real part of xi, and
-    full-horizontal keeps (Re xi, v + 2 Re xi . Im xi), the twisted
-    coordinate that makes the projection commute with the integer lattice.
-    """
-    if u0 <= 0:
-        raise ParameterError("slice height u0 must be positive")
-    p = hb._horo(p)
-    if model == "vertical-axis":
-        return hb.HoroPoint(np.zeros_like(p.xi), p.v, u0)
-    if model == "horizontal-line":
-        return hb.HoroPoint(p.xi.real.astype(complex), 0.0, u0)
-    if model == "full-horizontal":
-        w = p.v + 2.0 * float(np.sum(p.xi.real * p.xi.imag))
-        return hb.HoroPoint(p.xi.real.astype(complex), w, u0)
-    raise ParameterError(f"unknown model {model!r}")
+# the slice coordinates of each model, as columns of (Re xi_1, v)
+_SLICES = {"vertical-axis": [1], "horizontal-line": [0], "full-horizontal": [0, 1]}
 
 
 def _slice_coords(model, coords, n):
-    """(xi, v) of a stack of slice coordinates (..., model dim)."""
+    """(xi, v) of a stack of slice coordinates (..., len(_SLICES[model])):
+    the model's columns of (Re xi_1, v) hold them, the rest is 0."""
+    x = np.zeros(coords.shape[:-1] + (2,))
+    x[..., _SLICES[model]] = coords
     xi = np.zeros(coords.shape[:-1] + (n - 1,), dtype=complex)
-    if model == "vertical-axis":
-        return xi, coords[..., 0]
-    xi[..., 0] = coords[..., 0]
-    if model == "horizontal-line":
-        return xi, np.zeros(coords.shape[:-1])
-    # slice coordinate w is the twisted height; xi here is real so v = w
-    return xi, coords[..., 1]
-
-
-def _slice_point(model, coords, u0, n=2):
-    """HoroPoint of slice coordinates within the chosen model."""
-    xi, v = _slice_coords(model, np.asarray(coords, dtype=float), n)
-    return hb.HoroPoint(xi, v, u0)
-
-
-def _model_dim(model):
-    if model in ("vertical-axis", "horizontal-line"):
-        return 1
-    if model == "full-horizontal":
-        return 2
-    raise ParameterError(f"unknown model {model!r}")
+    xi[..., 0] = x[..., 0]
+    return xi, x[..., 1]
 
 
 def _check_invariance(gens, model, u0, tol=1e-9):
-    probes = np.linspace(-1.3, 1.7, 5)
+    """Raise InvarianceError unless each generator fixes infinity with a
+    unit multiplier, so keeps the height u0, and moves five probe points of
+    the slice by at most tol off its coordinates."""
+    n = gens.dim - 1
+    t = np.linspace(-1.3, 1.7, 5)
+    probes = np.column_stack([t, 0.3 * t])[:, :len(_SLICES[model])]
+    lifts = hb._horo_lifts(*_slice_coords(model, probes, n), u0)
+    infinity = core.infinity_point(n).lift
     for iso in gens.isometries:
-        tag = core.classify_isometry(iso)
-        if tag == "loxodromic":
-            raise InvarianceError("loxodromic generator cannot fix the slice")
-        inf_image = core.projective_apply(iso, core.infinity_point(gens.dim - 1))
-        if not inf_image.projectively_equal(core.infinity_point(gens.dim - 1)):
+        image = iso.matrix @ infinity
+        if core.projective_lift_gap(image, infinity) > core.PROJ_TOL:
             raise InvarianceError("generator does not fix infinity")
-        for t in probes:
-            coords = (t, 0.3 * t) if _model_dim(model) == 2 else (t,)
-            x = _slice_point(model, coords, u0, n=gens.dim - 1)
-            image = hb.projective_to_horo(
-                core.projective_apply(iso, hb.horo_to_projective(x))
-            )
-            proj = parabolic_projection(image, model, u0)
-            gap = float(np.max(np.abs(image.xi - proj.xi))) + abs(image.v - proj.v)
-            if gap > tol:
-                raise InvarianceError(
-                    f"generator moves the {model} slice by {gap:.2e}"
-                )
+        if abs(abs(image[-1]) - 1.0) > tol:
+            raise InvarianceError("loxodromic generator cannot fix the slice")
+        _, xi, v, _ = hb._lift_coords(lifts @ iso.matrix.T, 1e-12)
+        on = np.column_stack([xi[:, 0].real, v])[:, _SLICES[model]]
+        on_xi, on_v = _slice_coords(model, on, n)
+        gap = float(np.max(np.max(np.abs(xi - on_xi), axis=1) + np.abs(v - on_v)))
+        if gap > tol:
+            raise InvarianceError(f"generator moves the {model} slice by {gap:.2e}")
 
 
 def pullback_domain_sides(
@@ -526,17 +495,27 @@ def pullback_domain_sides(
 ):
     """Side census restricted to the invariant slice V_{u0}.
 
-    Rays stay inside the slice; distances are Bergman distances in the
-    ambient space.  The census is run at enum_radius and enum_radius + 2
-    and the stable flag records whether the side sets agree.  One ball,
-    enumerated at enum_radius + 2, serves both radii: its first
-    enum_radius + 1 levels are the ball at enum_radius.  The 1-D
-    models, vertical-axis and horizontal-line, have only the two rays +1
-    and -1: they ignore rays and report rays_used == 2, and the rule
-    rays >= 100 holds for every model alike.
+    The model names the slice's coordinates among (Re xi_1, v), with every
+    other coordinate 0 and the height u0: vertical-axis spans v,
+    horizontal-line Re xi_1, and full-horizontal both.  Each generator
+    must fix infinity with a unit multiplier, so keep the height, and
+    keep five probe points of the slice on it to 1e-9, or the census
+    raises InvarianceError.  Rays start at (0, 0, u0) and stay inside the
+    slice; distances are Bergman distances in the ambient space.  The
+    census is run at enum_radius and enum_radius + 2 and the stable flag
+    records whether the side sets agree.  One ball, enumerated at
+    enum_radius + 2, serves both radii: its first enum_radius + 1 levels
+    are the ball at enum_radius.  The 1-D models, vertical-axis and
+    horizontal-line, have only the two rays +1 and -1: they ignore rays
+    and report rays_used == 2, and the rule rays >= 100 holds for every
+    model alike.
     """
     if rays < 100:
         raise ParameterError("need at least 100 rays")
+    if not 0 < u0 < math.inf:
+        raise ParameterError("slice height u0 must be positive and finite")
+    if model not in _SLICES:
+        raise ParameterError(f"unknown model {model!r}")
     _check_invariance(gens, model, u0)
     levels, _ = gr.element_ball(gens, enum_radius + 2, budget)
     first = _slice_census(gens, model, u0, enum_radius, levels[:enum_radius + 1],
@@ -548,14 +527,13 @@ def pullback_domain_sides(
 def _slice_census(gens, model, u0, enum_radius, levels, rays, margin):
     """The slice census over the ball levels, reported at enum_radius."""
     spell, mats = _census_orbit(gens, levels)
-    dim = _model_dim(model)
     n = gens.dim - 1
-    ylift = hb.horo_to_projective(_slice_point(model, (0.0,) * dim, u0, n=n)).lift
+    ylift = hb._horo_lifts(np.zeros(n - 1, dtype=complex), 0.0, u0)
     ynorm = float(core.herm_inner(ylift, ylift).real)
     orbit_lifts = (mats.reshape(-1, n + 1) @ ylift).reshape(-1, n + 1)
     reach, horizon = _horizon(spell, ylift, orbit_lifts, ynorm)
 
-    if dim == 1:
+    if len(_SLICES[model]) == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
         angles = 2 * np.pi * (np.arange(rays) + 0.5) / rays

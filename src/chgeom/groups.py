@@ -546,9 +546,7 @@ def orbit_enumerate(gens, max_len, basepoint, budget=DEFAULT_BUDGET):
 def word_metric_profile(gens, max_len, basepoint=None, budget=DEFAULT_BUDGET):
     """Per word length, (length, min distance, max distance) to the base orbit."""
     if basepoint is None:
-        origin = np.zeros(gens.dim, dtype=complex)
-        origin[-1] = 1.0
-        basepoint = core.ProjectivePoint(origin)
+        basepoint = core.ball_origin(gens.dim - 1)
     orbit = orbit_enumerate(gens, max_len, basepoint, budget=budget)
     # the orbit comes level by level, in increasing word length
     lengths, starts = np.unique(orbit.word_lengths, return_index=True)

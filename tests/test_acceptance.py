@@ -220,7 +220,7 @@ def test_criterion_4_classification():
 
 def _criterion_5():
     failures = []
-    origin = cli._ball_origin(3)
+    origin = core.ball_origin()
 
     census = dr.dirichlet_side_census(
         ps.group_preset("cyclic-vertical"), origin, 6, rays=2000, seed=0)

@@ -489,7 +489,7 @@ def ref_point_payload(point):
 def test_orbit_payload_matches_per_point_reference(preset, depth):
     points = payload_of(["--command", "orbit", "--preset", preset,
                          "--depth", str(depth)])["points"]
-    orbit = gr.orbit_enumerate(ps.group_preset(preset), depth, cli._ball_origin(3))
+    orbit = gr.orbit_enumerate(ps.group_preset(preset), depth, core.ball_origin())
     assert len(points) == len(orbit)
     for got, word, length, lift, dist in zip(points, orbit.words, orbit.word_lengths,
                                              orbit.lifts, orbit.distances):

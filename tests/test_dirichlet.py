@@ -108,42 +108,6 @@ class TestSideCensus:
             dm.dirichlet_side_census(cyclic_vertical(), boundary, 2, rays=400)
 
 
-class TestParabolicProjection:
-    def test_three_models(self):
-        p = hb.HoroPoint(np.array([1 + 2j]), 5.0, 3.0)
-        hl = dm.parabolic_projection(p, "horizontal-line", 1.0)
-        assert np.allclose(hl.xi, [1.0]) and hl.v == 0.0 and hl.u == 1.0
-        va = dm.parabolic_projection(p, "vertical-axis", 2.0)
-        assert np.allclose(va.xi, [0.0]) and va.v == 5.0 and va.u == 2.0
-        fh = dm.parabolic_projection(p, "full-horizontal", 1.0)
-        assert np.allclose(fh.xi, [1.0]) and fh.v == 9.0 and fh.u == 1.0
-
-    def test_idempotent_on_slice(self):
-        p = hb.HoroPoint(np.array([0.7 + 0j]), 0.4, 1.0)
-        q = dm.parabolic_projection(p, "full-horizontal", 1.0)
-        r = dm.parabolic_projection(q, "full-horizontal", 1.0)
-        assert np.allclose(q.xi, r.xi) and np.isclose(q.v, r.v)
-
-    def test_full_horizontal_equivariance(self):
-        # the twisted coordinate makes projection commute with the lattice
-        p = hb.HeisPoint(np.array([0.3 + 0.9j]), 0.7)
-        for shift in (hb.HeisPoint(np.array([1.0 + 0j]), 0.0),
-                      hb.HeisPoint(np.zeros(1), 1.0)):
-            moved = hb.heis_mul(shift, p)
-            left = dm.parabolic_projection(moved.as_horo(), "full-horizontal", 1.0)
-            proj = dm.parabolic_projection(p.as_horo(), "full-horizontal", 1.0)
-            right = hb.heis_mul(shift, hb.HeisPoint(proj.xi, proj.v))
-            assert np.allclose(left.xi, right.xi, atol=1e-12)
-            assert np.isclose(left.v, right.v, atol=1e-12)
-
-    def test_validation(self):
-        p = hb.HoroPoint(np.zeros(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            dm.parabolic_projection(p, "vertical-axis", 0.0)
-        with pytest.raises(ValueError):
-            dm.parabolic_projection(p, "diagonal", 1.0)
-
-
 class TestPullbackDomain:
     def test_vertical_slice_two_sides(self):
         census = dm.pullback_domain_sides(cyclic_vertical(), "vertical-axis", 1.0, 3)
@@ -258,8 +222,112 @@ class TestPullbackDomain:
 
         monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
         with pytest.raises(ParameterError, match="^seed must be nonnegative$"):
-            dm.dirichlet_side_census(z2_lattice(), cli._ball_origin(3), 3,
+            dm.dirichlet_side_census(z2_lattice(), core.ball_origin(), 3,
                                      seed=-1)
+
+    @pytest.mark.parametrize("u0", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_height_rejected_before_enumerating(self, u0, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
+        with pytest.raises(ParameterError,
+                           match="^slice height u0 must be positive and finite$"):
+            dm.pullback_domain_sides(z2_lattice(), "full-horizontal", u0, 3, rays=720)
+
+    def test_unknown_model_rejected_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
+        with pytest.raises(ParameterError, match="^unknown model 'diagonal'$"):
+            dm.pullback_domain_sides(z2_lattice(), "diagonal", 1.0, 3)
+
+    @pytest.mark.parametrize("xi, v, model, preset, margin", [
+        ((1.0, 0.0), 0.0, "horizontal-line", "cyclic-horizontal", 1.7827228760507272),
+        ((0.0, 0.0), 1.0, "vertical-axis", "cyclic-vertical", 0.8913614380253636)])
+    def test_n3_translation_slices_equal_n2(self, xi, v, model, preset, margin):
+        # the same translation with xi_2 = 0 sees the n = 2 census
+        gens = gr.GroupGens([("a", hb.embed_translation(np.array(xi, dtype=complex),
+                                                         v))])
+        census = dm.pullback_domain_sides(gens, model, 1.0, 3)
+        n2 = dm.pullback_domain_sides(ps.group_preset(preset), model, 1.0, 3)
+        assert census == n2
+        assert census.sides == ("A", "a")
+        assert census.margins == {"A": margin, "a": margin}
+
+    def test_n3_translation_along_xi2_leaves_the_horizontal_line(self):
+        gens = gr.GroupGens([("a", hb.embed_translation(np.array([0.0, 1.0 + 0j]),
+                                                         0.0))])
+        with pytest.raises(InvarianceError):
+            dm.pullback_domain_sides(gens, "horizontal-line", 1.0, 3)
+
+
+def rotation_group(angle):
+    return gr.GroupGens([("a", hb.embed_rotation(np.array([[np.exp(1j * angle)]])))])
+
+
+INVARIANCE_GROUPS = {
+    "cyclic-vertical": cyclic_vertical,
+    "cyclic-horizontal": cyclic_horizontal,
+    "z2-lattice": z2_lattice,
+    "half-turn": half_turn,
+    "dilation": lambda: ps.group_preset("dilation"),
+    "schottky": lambda: ps.group_preset("schottky"),
+    "T(i, 0)": lambda: gr.GroupGens([("a", hb.embed_translation(1j, 0.0))]),
+    "rotation(pi/3)": lambda: rotation_group(np.pi / 3),
+    "T(1, 1)": lambda: gr.GroupGens([("a", hb.embed_translation(1.0, 1.0))]),
+}
+# the models each group's slice census accepts; it rejects the others
+INVARIANT_MODELS = {
+    "cyclic-vertical": {"vertical-axis", "full-horizontal"},
+    "cyclic-horizontal": {"horizontal-line", "full-horizontal"},
+    "z2-lattice": {"full-horizontal"},
+    "half-turn": {"horizontal-line", "full-horizontal"},
+    "dilation": set(),
+    "schottky": set(),
+    "T(i, 0)": set(),
+    "rotation(pi/3)": {"vertical-axis"},
+    "T(1, 1)": {"full-horizontal"},
+}
+MODELS = ("vertical-axis", "horizontal-line", "full-horizontal")
+
+
+def invariance_accepts(gens, model, u0, monkeypatch):
+    """Whether pullback_domain_sides gets past its invariance check to the
+    enumeration, or raises InvarianceError."""
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_nothing(*args, **kwargs):
+        raise Enumerated
+
+    monkeypatch.setattr(gr, "element_ball", enumerate_nothing)
+    try:
+        dm.pullback_domain_sides(gens, model, u0, 3, rays=720)
+    except Enumerated:
+        return True
+    except InvarianceError:
+        return False
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("group", INVARIANCE_GROUPS)
+def test_invariance_decisions(group, model, monkeypatch):
+    gens = INVARIANCE_GROUPS[group]()
+    assert invariance_accepts(gens, model, 1.0, monkeypatch) == (
+        model in INVARIANT_MODELS[group])
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("group", ["cyclic-vertical", "cyclic-horizontal", "z2-lattice"])
+def test_invariance_decisions_hold_at_every_height(group, model, monkeypatch):
+    # far up, the images' heights round away from u0 by more than 1e-9;
+    # the unit multiplier at infinity is what keeps the height
+    gens = INVARIANCE_GROUPS[group]()
+    for u0 in np.logspace(-6, 9, 10):
+        assert invariance_accepts(gens, model, float(u0), monkeypatch) == (
+            model in INVARIANT_MODELS[group])
 
 
 @pytest.mark.parametrize("radius", [3, 5])
@@ -457,7 +525,7 @@ def ref_slice_census(gens, model, u0, enum_radius, rays, margin, budget):
         raise DegenerateInputError("no nontrivial elements to census")
     mats = np.concatenate(mats)
 
-    dim = dm._model_dim(model)
+    dim = len(dm._SLICES[model])
     n = gens.dim - 1
     center = ref_slice_point(model, (0.0,) * dim, u0, n=n)
     ylift = ref_horo_to_projective(center).lift
@@ -566,7 +634,7 @@ def _same_census_up_to_bisection(got, want):
 @pytest.mark.parametrize("preset,where,radius", BALL_CASES)
 def test_ball_census_matches_reference(preset, where, radius):
     gens = ps.group_preset(preset)
-    center = slab_center() if where == "slab" else cli._ball_origin(gens.dim)
+    center = slab_center() if where == "slab" else core.ball_origin(gens.dim - 1)
     got = dm.dirichlet_side_census(gens, center, radius)
     _same_census_up_to_bisection(got, ref_dirichlet_side_census(gens, center, radius))
     assert got.stable is None
@@ -592,7 +660,7 @@ def slice_rays(gens, model, u0, radius, dirs):
     _slice_exits for rays along dirs, and the lifts at slice coordinates."""
     n = gens.dim - 1
     _, mats = census_orbit(gens, radius)
-    c = hb.horo_to_projective(dm._slice_point(model, (0.0,) * dirs.shape[1], u0, n)).lift
+    c = hb.horo_to_projective(ref_slice_point(model, (0.0,) * dirs.shape[1], u0, n)).lift
 
     def lifts(coords):
         return hb._horo_lifts(*dm._slice_coords(model, coords, n), u0)
@@ -614,7 +682,7 @@ def test_slice_exits_halfway_to_the_nearest_images(make_gens, model, u0):
         assert np.max(np.abs(dm._slice_exits(c, orbit, z1, z2) - 0.5)) <= 1e-13
 
     def point(t):
-        return hb.horo_to_projective(dm._slice_point(model, (t,), u0))
+        return hb.horo_to_projective(ref_slice_point(model, (t,), u0))
 
     census = dm.pullback_domain_sides(gens, model, u0, 1)
     want = (core.bergman_distance(point(0.5), point(-1.0))
@@ -664,7 +732,7 @@ def test_slice_census_peak_memory_is_bounded_by_chunks():
 
 @pytest.mark.parametrize("model", ["vertical-axis", "horizontal-line", "full-horizontal"])
 def test_batched_slice_lifts_equal_scalar_lifts(model):
-    dim = dm._model_dim(model)
+    dim = len(dm._SLICES[model])
     rng = np.random.default_rng(3)
     coords = rng.normal(scale=4.0, size=(200, dim))
     coords[:3] = 0.0  # signed zeros must agree too
@@ -673,7 +741,7 @@ def test_batched_slice_lifts_equal_scalar_lifts(model):
         xi, v = dm._slice_coords(model, coords, 2)
         batch = hb._horo_lifts(xi, v, u0)
         for k in range(coords.shape[0]):
-            scalar = hb.horo_to_projective(dm._slice_point(model, coords[k], u0)).lift
+            scalar = hb.horo_to_projective(ref_slice_point(model, coords[k], u0)).lift
             ref = ref_horo_to_projective(ref_slice_point(model, tuple(coords[k]), u0)).lift
             assert batch[k].tobytes() == scalar.tobytes() == ref.tobytes()
 
@@ -708,7 +776,7 @@ def test_stacked_orbit_lifts_equal_per_matrix_loop(preset):
     gens = ps.group_preset(preset)
     _, mats = census_orbit(gens, 4)
     off_axis = core.ProjectivePoint(np.array([0.3 + 0.1j, -0.2j, 1.0]))
-    for center in (cli._ball_origin(gens.dim), slab_center(0.7), off_axis):
+    for center in (core.ball_origin(gens.dim - 1), slab_center(0.7), off_axis):
         back = dm._ball_frame(center).inverse().matrix
         loop = np.array([back @ (m @ center.lift) for m in mats])
         stacked = (back @ (mats @ center.lift)[..., None])[..., 0]
@@ -719,7 +787,7 @@ def test_stacked_orbit_lifts_equal_per_matrix_loop(preset):
 
 def test_census_orbit_errors():
     with pytest.raises(BudgetExceededError) as info:
-        dm.dirichlet_side_census(ps.group_preset("schottky"), cli._ball_origin(3), 6,
+        dm.dirichlet_side_census(ps.group_preset("schottky"), core.ball_origin(), 6,
                                  budget=100)
     assert info.value.completed_radius < 6
     with pytest.raises(DegenerateInputError):
@@ -735,7 +803,7 @@ def test_chord_lifts_stay_timelike_far_out():
     scale = np.sum(np.abs(lifts) ** 2, axis=1)
     assert np.all(np.abs(norm + 1.0) <= 1e-12 * scale)
     # with the known norm the census measures s back to the center
-    origin = cli._ball_origin(3).lift
+    origin = core.ball_origin().lift
     d = core._bergman_distances(lifts, origin[None, :], -1.0, -1.0)[:, 0]
     assert np.all(np.isfinite(d))
     assert np.allclose(d, 40.0, rtol=1e-12, atol=0)
@@ -744,7 +812,7 @@ def test_chord_lifts_stay_timelike_far_out():
 def test_census_past_the_tanh_horizon_is_clean():
     # horizon 39: the march reaches s where the old chord lifts were null
     gens = ps.group_preset("dilation")
-    census = dm.dirichlet_side_census(gens, cli._ball_origin(3), 70, rays=200)
+    census = dm.dirichlet_side_census(gens, core.ball_origin(), 70, rays=200)
     assert census.sides == ("A", "a")
     assert 0.0 < census.unbounded_ray_fraction < 1.0
 
@@ -854,7 +922,7 @@ def ref_ball_census(gens, center, radius, rays=dm.DEFAULT_RAYS, seed=0):
     back = dm._ball_frame(center).inverse().matrix
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
     norm = float(core.herm_inner(center.lift, center.lift).real)
-    origin = cli._ball_origin(gens.dim).lift
+    origin = core.ball_origin(gens.dim - 1).lift
     dirs = dm._ray_directions(rays, 2 * (orbit.shape[1] - 1), seed=seed)
     return ref_first_exit_census(
         words, origin, orbit, norm, lambda d, s: (dm._chord_lifts(d, s), s),
@@ -875,7 +943,7 @@ def test_ball_kernel_matches_arccosh_reference_bit_for_bit(preset, where, radius
 def test_z2_census_at_benchmark_scale_matches_the_march(seed):
     # the dirichlet-z2-10 benchmark step: 10,000 rays over 220 images
     gens = ps.group_preset("z2-lattice")
-    center = cli._ball_origin(gens.dim)
+    center = core.ball_origin(gens.dim - 1)
     got = dm.dirichlet_side_census(gens, center, 10, rays=10000, seed=seed)
     _same_census_up_to_bisection(got, ref_ball_census(gens, center, 10, 10000, seed))
 
@@ -884,7 +952,7 @@ def test_schottky_census_at_r5_stays_unbounded():
     # pins a known defect: uniform rays miss the small Schottky bisectors
     # (ROADMAP item 3), so a fix of that defect must update this test
     census = dm.dirichlet_side_census(ps.group_preset("schottky"),
-                                      cli._ball_origin(3), 5)
+                                      core.ball_origin(), 5)
     assert census.unbounded_ray_fraction == 1.0
     assert census.sides == ()
 
@@ -928,7 +996,7 @@ def ref_ball_exits(dirs, orbit_lifts, norm):
 
 
 def _kernel_center(gens, where):
-    return {"origin": cli._ball_origin(gens.dim), "slab": slab_center(),
+    return {"origin": core.ball_origin(gens.dim - 1), "slab": slab_center(),
             "scaled": scaled_center()}[where]
 
 
@@ -959,7 +1027,7 @@ def test_triangle_inequality_bounds_hold_within_the_slack(tmp_path, preset,
     gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
             else ps.group_preset(preset))
     spell, mats = census_orbit(gens, radius)
-    origin = cli._ball_origin(gens.dim).lift
+    origin = core.ball_origin(gens.dim - 1).lift
     orbit = mats @ origin
     reach, horizon = dm._horizon(spell, origin, orbit, -1.0)
     dirs = dm._ray_directions(rays, 4, seed=seed)
@@ -981,7 +1049,7 @@ def test_a_ray_left_alone_rounds_as_in_the_full_product():
     # copies of the ray that exits first, which fill more than one block,
     # each of them is left alone after the first block, and must still get
     # the full product's exit
-    _, orbit, norm, reach = _ball_orbit("z2-lattice", 10, cli._ball_origin(3))
+    _, orbit, norm, reach = _ball_orbit("z2-lattice", 10, core.ball_origin())
     dirs = dm._ray_directions(2000, 4, seed=0)
     full = np.max(ref_exit_roots(dirs, orbit, norm), axis=1)
     first = int(np.argmax(full))
@@ -997,7 +1065,7 @@ def test_far_field_exit_stays_beyond_the_horizon():
     # gives it a root of about 1e-16 (ROADMAP item 3), an exit at s = 37.2
     # that no image makes.  The root is an image's at reach 3.6, so no bound
     # drops it, and the exit must stay past the horizon
-    _, orbit, norm, reach = _ball_orbit("z2-lattice", 6, cli._ball_origin(3))
+    _, orbit, norm, reach = _ball_orbit("z2-lattice", 6, core.ball_origin())
     s = dm._ball_exits(np.array([[0.0, -1.0, 0.0, 0.0]]), orbit, norm, reach)
     assert s[0] > np.max(reach) / 2.0 + 4.0
 
@@ -1077,7 +1145,7 @@ def test_chunked_certification_matches_one_shot(certified, tmp_path, preset,
                                                 radius, rays, seed):
     gens = (schottky_generator_file(tmp_path) if preset == "schottky-file"
             else ps.group_preset(preset))
-    dm.dirichlet_side_census(gens, cli._ball_origin(gens.dim), radius,
+    dm.dirichlet_side_census(gens, core.ball_origin(gens.dim - 1), radius,
                              rays=rays, seed=seed)
     (witnesses, tiles, got, want), = certified
     _same_census_bits(got, want)
@@ -1125,7 +1193,7 @@ def test_census_peak_memory_is_bounded_by_one_chunk():
     # of 1,024 rays still left about 18 MB.  Chunks of _EXIT_CELLS ray-orbit
     # pairs bound it whatever the orbit's size, at 8 MiB
     gens = ps.group_preset("z2-lattice")
-    center = cli._ball_origin(gens.dim)
+    center = core.ball_origin(gens.dim - 1)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1157,7 +1225,7 @@ def test_ball_frame_is_a_transvection_to_the_center():
     # is exactly I
     rng = np.random.default_rng(11)
     for n in (2, 3):
-        frame = dm._ball_frame(cli._ball_origin(n + 1)).matrix
+        frame = dm._ball_frame(core.ball_origin(n)).matrix
         assert frame.tobytes() == np.eye(n + 1, dtype=complex).tobytes()
         for _ in range(500):
             u = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -1175,7 +1243,7 @@ def _ball_orbit(preset, radius, center):
     back = dm._ball_frame(center).inverse().matrix
     orbit = (back @ (mats @ center.lift)[..., None])[..., 0]
     norm = float(core.herm_inner(center.lift, center.lift).real)
-    origin = cli._ball_origin(gens.dim).lift
+    origin = core.ball_origin(gens.dim - 1).lift
     base_d = core._bergman_distances(origin[None, :], orbit, norm)[0]
     return origin, orbit, norm, base_d
 
@@ -1183,7 +1251,7 @@ def _ball_orbit(preset, radius, center):
 @functools.cache
 def _orbit_case(key):
     preset, radius, where = key
-    center = scaled_center() if where == "scaled" else cli._ball_origin(3)
+    center = scaled_center() if where == "scaled" else core.ball_origin()
     return _ball_orbit(preset, radius, center)
 
 
@@ -1193,7 +1261,7 @@ def test_ray_toward_a_nearest_image_exits_at_half_its_distance(preset, where):
     # by the triangle inequality no image beats the center before the
     # midpoint of [c, g c] when g c is a nearest image, and g c beats it
     # right after
-    center = scaled_center() if where == "scaled" else cli._ball_origin(3)
+    center = scaled_center() if where == "scaled" else core.ball_origin()
     _, orbit, norm, base_d = _ball_orbit(preset, 4, center)
     for g in np.nonzero(base_d <= base_d.min() * (1.0 + 1e-12))[0]:
         z = orbit[g, :-1] / orbit[g, -1]
